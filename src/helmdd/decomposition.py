@@ -158,3 +158,59 @@ def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matr
     """Principal submatrix R_i A R_i^T of A on subdomain i."""
     idx = decomp.index_sets[i]
     return A[idx][:, idx]
+
+
+def block_classes(decomp: Decomposition, A) -> tuple:
+    """Group the subdomains by the content of their blocks R_i A R_i^T.
+
+    Returns (labels, representatives): labels[i] is the class of subdomain
+    i, and representatives[c] is the first subdomain of class c.  Two
+    subdomains share a class exactly when their blocks have the same size
+    and the same stored entries, compared bit for bit, so every member's
+    local_matrix equals its representative's.
+
+    All blocks are cut from one gather of the rows A[J], where J stacks the
+    index sets; a single searchsorted on subdomain * N + global index maps
+    each column to its local position, or drops it when it lies outside the
+    subdomain.
+    """
+    A = sp.csr_matrix(A)
+    sizes = np.array([len(idx) for idx in decomp.index_sets])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    J = np.concatenate(decomp.index_sets)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(len(J)) - offsets[owner]
+
+    # nonzeros of the stacked rows A[J], one entry per (stacked row, column)
+    starts, counts = A.indptr[J], np.diff(A.indptr)[J]
+    row = np.repeat(np.arange(len(J)), counts)
+    nz = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+    cols = A.indices[nz]
+
+    N = A.shape[1]
+    keys = owner * N + J
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    wanted = owner[row] * N + cols
+    pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(sorted_keys) - 1)
+    inside = sorted_keys[pos] == wanted
+    # the entries keep A's order within each row, so equal keys mean equal blocks
+    row, col, vals = row[inside], local[order[pos[inside]]], A.data[nz[inside]]
+
+    row_nnz = np.bincount(row, minlength=len(J))
+    nz_offsets = np.concatenate(([0], np.cumsum(row_nnz)))[offsets]
+    labels = np.empty(len(sizes), dtype=np.int64)
+    classes: dict = {}
+    representatives = []
+    for i in range(len(sizes)):
+        a, b = nz_offsets[i], nz_offsets[i + 1]
+        key = (
+            row_nnz[offsets[i]:offsets[i + 1]].tobytes(),
+            col[a:b].tobytes(),
+            vals[a:b].tobytes(),
+        )
+        if key not in classes:
+            classes[key] = len(representatives)
+            representatives.append(i)
+        labels[i] = classes[key]
+    return labels, np.asarray(representatives)

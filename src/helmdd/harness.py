@@ -1,11 +1,13 @@
 """Experiment runner: sweeps (k, n, coarse kind, preconditioner) cells,
 collects GMRES iteration counts into table rows, and writes CSV reports.
 
-A sweep cell builds the problem once, factorizes the subdomain matrices
-once, and shares them across all preconditioner kinds; the Galerkin coarse
-problem is built once per coarse kind.  Nonconverged solves are reported
-with the literal 'x' in place of the iteration count.  Reruns of the same
-configuration produce identical counts; only the timing columns vary.
+A sweep cell builds the problem once, groups the subdomain blocks
+R_i A R_i^T into classes of identical content, factorizes each distinct
+block once, and shares the resulting local solves across all
+preconditioner kinds; the Galerkin coarse problem is built once per coarse
+kind.  Nonconverged solves are reported with the literal 'x' in place of
+the iteration count.  Reruns of the same configuration produce identical
+counts; only the timing columns vary.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from pathlib import Path
 
 from . import linalg
 from .coarse import COARSE_KINDS, build_focs, build_hocs, galerkin
-from .decomposition import extend, extend_max, local_matrix, partition
+from .decomposition import block_classes, extend, extend_max, local_matrix, partition
 from .discretization import PROBLEMS, Grid, RegimeReport, assemble, regime
 from .gmres import GmresConfig, gmres
-from .schwarz import PRECONDITIONER_KINDS, SchwarzPreconditioner
+from .schwarz import PRECONDITIONER_KINDS, LocalSolves, SchwarzPreconditioner
 
 
 class ConfigError(ValueError):
@@ -178,9 +180,12 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     prob = assemble(grid, k, cfg.problem)
     part = partition(grid, p)
     decomp = extend_max(part) if cfg.overlap == "max" else extend(part, int(cfg.overlap))
-    locals_ = [
-        linalg.factorize(local_matrix(decomp, i, prob.A)) for i in range(decomp.num_subdomains)
-    ]
+    labels, representatives = block_classes(decomp, prob.A)
+    local_solves = LocalSolves(
+        decomp,
+        labels,
+        [linalg.factorize(local_matrix(decomp, i, prob.A)) for i in representatives],
+    )
     builders = {"FOCS": build_focs, "HOCS": build_hocs}
     spaces = {
         ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob.A) for ck in cfg.coarse_kinds
@@ -191,9 +196,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     iterations = {}
     for ck in cfg.coarse_kinds:
         for pk in cfg.preconditioners:
-            M = SchwarzPreconditioner(
-                pk, prob.A, decomp, spaces[ck], local_factorizations=locals_
-            )
+            M = SchwarzPreconditioner(pk, prob.A, decomp, spaces[ck], local_solves=local_solves)
             report = gmres(prob.A, M, prob.f, cfg.gmres)
             iterations[f"{ck}_{pk}"] = report.iterations if report.converged else "x"
     solve_seconds = time.perf_counter() - t1

@@ -9,7 +9,7 @@ Cholesky factorization would fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,6 @@ class SparseFactorization:
 
     lu: SuperLU
     n: int
-    fill_upper_bound: int = field(default=0)
 
     @property
     def perm_r(self) -> np.ndarray:
@@ -84,7 +83,7 @@ def factorize(A) -> SparseFactorization:
         raise SingularMatrixError(
             f"near-zero pivot {pivots.min():.3e} (matrix scale {scale:.3e})"
         )
-    return SparseFactorization(lu=lu, n=A.shape[0], fill_upper_bound=lu.L.nnz + lu.U.nnz)
+    return SparseFactorization(lu=lu, n=A.shape[0])
 
 
 def solve(F: SparseFactorization, b: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Two-level overlapping Schwarz preconditioner applications.
 
 Three matrix-free variants over a Decomposition and a CoarseSpace, all
-using exact (sparse direct) local and coarse solves:
+using exact local and coarse solves:
 
 * AS2  (additive):        C + sum_i R_i^T (R_i A R_i^T)^{-1} R_i
 * SAS2 (scaled additive): C + sum_i R_i^T D_i (R_i A R_i^T)^{-1} R_i
@@ -12,9 +12,17 @@ factor (I - A C) deflates the coarse space out of the residual before the
 local solves.  In SHS2 the coarse solve C x is computed once and shared
 between the additive term and the deflation factor.
 
-The weights D_i multiply the local solve result before prolongation, as
-written above; weights_before_solve=True switches to the variant
-R_i^T (R_i A R_i^T)^{-1} D_i R_i for comparison.
+The local blocks R_i A R_i^T of the model problems repeat: constant
+coefficients on equal boxes leave only a handful of distinct blocks (at
+most 9 on box decompositions), however many subdomains there are.
+LocalSolves groups the subdomains into these block classes
+(decomposition.block_classes), factorizes one representative per class and
+keeps its dense inverse.  The one-level term is then applied as one gather
+x[G] of every subdomain's entries, one matrix product per class with the
+class's inverse, the weights D_i, and one scatter-add.  The inverses take
+sum over classes of s_c^2 entries for class block sizes s_c (234 KB for
+MP2 at k = 200); the gather indices and stacked weights take 16 bytes per
+subdomain entry (31 MB there).
 """
 
 from __future__ import annotations
@@ -23,9 +31,49 @@ import numpy as np
 
 from . import linalg
 from .coarse import CoarseSpace, coarse_correct, galerkin
-from .decomposition import Decomposition, local_matrix
+from .decomposition import Decomposition, block_classes, local_matrix
 
 PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
+
+
+class LocalSolves:
+    """The one-level term sum_i R_i^T [D_i] (R_i A R_i^T)^{-1} R_i, batched by block class.
+
+    labels[i] is the block class of subdomain i and factorizations[c] the
+    factorization of class c's block.  One object serves every
+    preconditioner kind built on the same matrix and decomposition.
+    """
+
+    def __init__(self, decomposition: Decomposition, labels, factorizations: list):
+        sets, weights = decomposition.index_sets, decomposition.weights
+        self.num_unknowns = decomposition.grid.num_unknowns
+        gather, scale = [], []
+        self.classes = []  # (start, stop, dense inverse) of each class's stretch of the gather
+        start = 0
+        for c, F in enumerate(factorizations):
+            members = np.flatnonzero(labels == c)
+            gather.append(np.concatenate([sets[i] for i in members]))
+            scale.append(np.concatenate([weights[i] for i in members]))
+            stop = start + len(gather[-1])
+            self.classes.append((start, stop, linalg.solve(F, np.eye(F.n))))
+            start = stop
+        self.gather = np.concatenate(gather)
+        self.weights = np.concatenate(scale)
+
+    def add_to(self, x: np.ndarray, out: np.ndarray, weighted: bool):
+        """Accumulate the one-level term applied to x into out."""
+        xs = x[self.gather]
+        dtype = np.result_type(xs.dtype, *(inv.dtype for *_, inv in self.classes))
+        ys = np.empty(len(xs), dtype=dtype)
+        for start, stop, inv in self.classes:
+            s = len(inv)
+            np.matmul(xs[start:stop].reshape(-1, s), inv.T, out=ys[start:stop].reshape(-1, s))
+        if weighted:
+            ys *= self.weights
+        n = self.num_unknowns
+        out += np.bincount(self.gather, weights=ys.real, minlength=n)
+        if np.iscomplexobj(ys):
+            out += 1j * np.bincount(self.gather, weights=ys.imag, minlength=n)
 
 
 class SchwarzPreconditioner:
@@ -37,8 +85,7 @@ class SchwarzPreconditioner:
         A,
         decomposition: Decomposition,
         coarse_space: CoarseSpace,
-        weights_before_solve: bool = False,
-        local_factorizations: list | None = None,
+        local_solves: LocalSolves | None = None,
     ):
         if kind not in PRECONDITIONER_KINDS:
             raise ValueError(f"unknown preconditioner {kind!r}, expected one of {PRECONDITIONER_KINDS}")
@@ -50,44 +97,32 @@ class SchwarzPreconditioner:
         self.coarse_space = (
             coarse_space if coarse_space.a0_factorization is not None else galerkin(coarse_space, A)
         )
-        self.weights_before_solve = weights_before_solve
-        # the factorized R_i A R_i^T blocks can be shared across variants
-        if local_factorizations is None:
-            local_factorizations = [
-                linalg.factorize(local_matrix(decomposition, i, A))
-                for i in range(decomposition.num_subdomains)
-            ]
-        elif len(local_factorizations) != decomposition.num_subdomains:
-            raise ValueError("one local factorization per subdomain expected")
-        self.local_factorizations = local_factorizations
-
-    def _local_sum(self, x: np.ndarray, out: np.ndarray, weighted: bool):
-        """Accumulate the one-level term sum_i R_i^T [D_i] A_i^{-1} [D_i] R_i x into out."""
-        decomp = self.decomposition
-        for idx, w, F in zip(decomp.index_sets, decomp.weights, self.local_factorizations):
-            xi = x[idx]
-            if weighted and self.weights_before_solve:
-                out[idx] += linalg.solve(F, w * xi)
-            elif weighted:
-                out[idx] += w * linalg.solve(F, xi)
-            else:
-                out[idx] += linalg.solve(F, xi)
+        if local_solves is None:
+            labels, representatives = block_classes(decomposition, A)
+            local_solves = LocalSolves(
+                decomposition,
+                labels,
+                [linalg.factorize(local_matrix(decomposition, i, A)) for i in representatives],
+            )
+        elif local_solves.num_unknowns != A.shape[0]:
+            raise ValueError("local solves were built for a different number of unknowns")
+        self.local_solves = local_solves
 
     def apply_as2(self, x: np.ndarray) -> np.ndarray:
         y = coarse_correct(self.coarse_space, x)
-        self._local_sum(x, y, weighted=False)
+        self.local_solves.add_to(x, y, weighted=False)
         return y
 
     def apply_sas2(self, x: np.ndarray) -> np.ndarray:
         y = coarse_correct(self.coarse_space, x)
-        self._local_sum(x, y, weighted=True)
+        self.local_solves.add_to(x, y, weighted=True)
         return y
 
     def apply_shs2(self, x: np.ndarray) -> np.ndarray:
         z = coarse_correct(self.coarse_space, x)
         deflated = x - self.A @ z
         y = z.copy()
-        self._local_sum(deflated, y, weighted=True)
+        self.local_solves.add_to(deflated, y, weighted=True)
         return y
 
     def apply(self, x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmdd.decomposition import (
+    block_classes,
     extend,
     extend_max,
     local_matrix,
@@ -165,3 +166,36 @@ def test_local_matrices_are_principal_submatrices():
         idx = dec.index_sets[i]
         expected = dense[np.ix_(idx, idx)]
         assert np.array_equal(local_matrix(dec, i, prob.A).toarray(), expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    problem=st.sampled_from(["MP1", "MP2"]),
+    p=st.integers(1, 6),
+    cells=st.sampled_from([2, 4, 6]),
+    k=st.floats(0.5, 12.0),
+    data=st.data(),
+)
+def test_block_classes_group_identical_blocks(problem, p, cells, k, data):
+    grid = Grid(cells * p + 1, "dirichlet" if problem == "MP1" else "sommerfeld")
+    prob = assemble(grid, k, problem)
+    part = partition(grid, p)
+    dec = extend(part, data.draw(st.integers(0, max_overlap_layers(part)), label="overlap"))
+    labels, representatives = block_classes(dec, prob.A)
+    assert len(labels) == dec.num_subdomains
+    assert len(representatives) <= 9
+    assert np.array_equal(labels[representatives], np.arange(len(representatives)))
+    for i in range(dec.num_subdomains):
+        block = local_matrix(dec, i, prob.A)
+        rep = local_matrix(dec, representatives[labels[i]], prob.A)
+        assert block.shape == rep.shape
+        assert np.array_equal(block.toarray(), rep.toarray())
+
+
+def test_block_classes_of_the_table_cells():
+    for problem, n, p, distinct in [("MP2", 81, 20, 9), ("MP1", 81, 20, 4), ("MP1", 65, 4, 4)]:
+        grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
+        dec = extend_max(partition(grid, p))
+        labels, representatives = block_classes(dec, assemble(grid, 10.0, problem).A)
+        assert len(representatives) == distinct
+        assert np.bincount(labels).sum() == dec.num_subdomains

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from helmdd.coarse import build_focs, build_hocs, galerkin
-from helmdd.decomposition import extend, extend_max, partition
+from helmdd.coarse import build_focs, build_hocs, coarse_correct, galerkin
+from helmdd.decomposition import extend, extend_max, max_overlap_layers, partition
 from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig, gmres
 from helmdd.linalg import factorize, solve
@@ -19,7 +23,7 @@ def make_instance(n, k, problem, p, coarse_kind, ratio, overlap="max"):
     return prob, dec, cs
 
 
-def dense_preconditioner(kind, A, dec, cs, weights_before_solve=False):
+def dense_preconditioner(kind, A, dec, cs):
     """Assemble the preconditioner as an explicit dense matrix."""
     Ad = A.toarray()
     R0 = cs.r0.toarray().astype(Ad.dtype)
@@ -32,8 +36,6 @@ def dense_preconditioner(kind, A, dec, cs, weights_before_solve=False):
         inv = np.linalg.inv(Ri @ Ad @ Ri.T)
         if kind == "AS2":
             local += Ri.T @ inv @ Ri
-        elif weights_before_solve:
-            local += Ri.T @ inv @ np.diag(w) @ Ri
         else:
             local += Ri.T @ np.diag(w) @ inv @ Ri
     if kind in ("AS2", "SAS2"):
@@ -167,19 +169,43 @@ def test_subdomain_order_independence(kind):
     assert np.abs(a - b).max() < 1e-13 * np.abs(a).max()
 
 
-def test_weight_placement_switch():
-    prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
-    M_after = SchwarzPreconditioner("SAS2", prob.A, dec, cs)
-    M_before = SchwarzPreconditioner("SAS2", prob.A, dec, cs, weights_before_solve=True)
-    dense_after = dense_preconditioner("SAS2", prob.A, dec, cs)
-    dense_before = dense_preconditioner("SAS2", prob.A, dec, cs, weights_before_solve=True)
-    eye = np.eye(49)
-    got_after = np.column_stack([M_after.apply(e) for e in eye])
-    got_before = np.column_stack([M_before.apply(e) for e in eye])
-    assert np.abs(got_after - dense_after).max() < 1e-11 * np.abs(dense_after).max()
-    assert np.abs(got_before - dense_before).max() < 1e-11 * np.abs(dense_before).max()
-    # the two placements are genuinely different operators in the overlap
-    assert np.abs(dense_after - dense_before).max() > 1e-6
+def reference_apply(kind, A, dec, cs, x):
+    """The preconditioner with one sparse LU solve per subdomain, in a plain loop."""
+    z = coarse_correct(cs, x)
+    r = x - A @ z if kind == "SHS2" else x
+    y = z.copy()
+    for idx, w in zip(dec.index_sets, dec.weights):
+        yi = splu(sp.csc_matrix(A[idx][:, idx])).solve(r[idx])
+        y[idx] += yi if kind == "AS2" else w * yi
+    return y
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=st.sampled_from(["MP1", "MP2"]),
+    p=st.integers(1, 4),
+    half_cells=st.integers(1, 3),
+    k=st.sampled_from([1.0, 2.5, 4.0, 6.0]),
+    coarse_kind=st.sampled_from(["FOCS", "HOCS"]),
+    kind=st.sampled_from(["AS2", "SAS2", "SHS2"]),
+    data=st.data(),
+)
+def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, coarse_kind, kind, data):
+    assume(half_cells * p >= 2)  # a 2h coarse grid needs an interior node
+    n = 2 * half_cells * p + 1
+    grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
+    prob = assemble(grid, k, problem)
+    part = partition(grid, p)
+    dec = extend(part, data.draw(st.integers(0, max_overlap_layers(part)), label="overlap"))
+    builder = build_focs if coarse_kind == "FOCS" else build_hocs
+    cs = galerkin(builder(grid, 2), prob.A)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.standard_normal(prob.A.shape[0]).astype(prob.A.dtype)
+    if np.iscomplexobj(x):
+        x += 1j * rng.standard_normal(len(x))
+    got = SchwarzPreconditioner(kind, prob.A, dec, cs).apply(x)
+    want = reference_apply(kind, prob.A, dec, cs, x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_unknown_kind_rejected():
