@@ -11,8 +11,6 @@ from .decomposition import (
     local_matrix,
     max_overlap_layers,
     partition,
-    prolong,
-    restrict,
 )
 from .discretization import (
     Grid,
@@ -33,7 +31,7 @@ from .harness import (
     run_experiment,
     validate_config,
 )
-from .linalg import SingularMatrixError, SparseFactorization, factorize, solve, spmv
+from .linalg import SingularMatrixError, SparseFactorization, factorize, solve
 from .schwarz import SchwarzPreconditioner
 
 __all__ = [
@@ -67,12 +65,9 @@ __all__ = [
     "max_overlap_layers",
     "parse_config",
     "partition",
-    "prolong",
     "regime",
-    "restrict",
     "run_experiment",
     "solve",
-    "spmv",
     "validate_config",
 ]
 

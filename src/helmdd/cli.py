@@ -3,6 +3,7 @@
     helmdd run <config>        run a sweep described by a config file
     helmdd validate <config>   regime checks and warnings, no solves
     helmdd tables {1,2,3,4}    run a built-in benchmark table sweep
+                               (--max-k K drops the cells with k > K)
 
 Warnings go to stderr; the CSV lands at --out (or the config's out entry).
 Exit code is 0 when the sweep completes, even if some cells did not
@@ -24,7 +25,6 @@ def _add_solver_flags(sub):
     sub.add_argument("--out", type=Path, default=None, help="output CSV path")
     sub.add_argument("--max-iter", type=int, default=None, help="GMRES iteration cap override")
     sub.add_argument("--rtol", type=float, default=None, help="GMRES relative tolerance override")
-    sub.add_argument("--threads", type=int, default=None, help="parallel sweep cells")
     sub.add_argument(
         "--precond-side", choices=("left", "right"), default=None,
         help="preconditioning side override",
@@ -47,11 +47,18 @@ def _apply_overrides(cfg: harness.ExperimentConfig, args) -> harness.ExperimentC
             side=updates.get("side", gmres_cfg.side),
         )
         cfg = replace(cfg, gmres=gmres_cfg)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     if args.out is not None:
         cfg = replace(cfg, out=str(args.out))
     return cfg
+
+
+def _drop_k_above(cfg: harness.ExperimentConfig, max_k: float) -> harness.ExperimentConfig:
+    """Drop the sweep cells with k > max_k; a paired sweep loses the matching n too."""
+    keep = [i for i, k in enumerate(cfg.k_list) if k <= max_k]
+    k_list = tuple(cfg.k_list[i] for i in keep)
+    if cfg.sweep == "paired":
+        return replace(cfg, k_list=k_list, n_list=tuple(cfg.n_list[i] for i in keep))
+    return replace(cfg, k_list=k_list)
 
 
 def _run(cfg: harness.ExperimentConfig, default_out: str) -> int:
@@ -76,6 +83,7 @@ def main(argv=None) -> int:
 
     tab_cmd = commands.add_parser("tables", help="run a built-in table sweep")
     tab_cmd.add_argument("which", type=int, choices=(1, 2, 3, 4))
+    tab_cmd.add_argument("--max-k", type=float, default=None, help="drop sweep cells with k above this")
     _add_solver_flags(tab_cmd)
 
     args = parser.parse_args(argv)
@@ -95,6 +103,8 @@ def main(argv=None) -> int:
                     print(f"warning: {w}", file=sys.stderr)
             return 0
         cfg = _apply_overrides(harness.builtin_table(args.which), args)
+        if args.max_k is not None:
+            cfg = _drop_k_above(cfg, args.max_k)
         return _run(cfg, default_out=f"table{args.which}.csv")
     except (harness.ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

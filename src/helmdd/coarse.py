@@ -51,10 +51,6 @@ class CoarseSpace:
     a0_factorization: linalg.SparseFactorization | None = None
 
     @property
-    def H(self) -> float:
-        return self.ratio * self.grid.h
-
-    @property
     def coarse_nodes_per_dim(self) -> int:
         return (self.grid.n - 1) // self.ratio + 1
 

@@ -139,21 +139,6 @@ def extend_max(part: Partition) -> Decomposition:
     return extend(part, max_overlap_layers(part), enforce_max_multiplicity=True)
 
 
-def restrict(decomp: Decomposition, i: int, x: np.ndarray) -> np.ndarray:
-    """Gather the entries of x living on subdomain i."""
-    return x[decomp.index_sets[i]]
-
-
-def prolong(decomp: Decomposition, i: int, y_local: np.ndarray) -> np.ndarray:
-    """Scatter-add a subdomain vector into a zero global vector (transpose of restrict)."""
-    idx = decomp.index_sets[i]
-    if len(y_local) != len(idx):
-        raise ValueError(f"subdomain {i} has {len(idx)} unknowns, got vector of length {len(y_local)}")
-    out = np.zeros(decomp.grid.num_unknowns, dtype=np.asarray(y_local).dtype)
-    out[idx] = y_local
-    return out
-
-
 def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matrix:
     """Principal submatrix R_i A R_i^T of A on subdomain i."""
     idx = decomp.index_sets[i]

@@ -12,9 +12,9 @@ counts; only the timing columns vary.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -42,8 +42,6 @@ class ExperimentConfig:
     overlap: str | int = "max"
     gmres: GmresConfig = field(default_factory=GmresConfig)
     out: str | None = None
-    threads: int = 1
-    seed: int = 0  # reserved; nothing in the sweep is randomized
 
     def cells(self) -> list:
         """The (k, n) pairs the sweep expands to, in output order."""
@@ -76,7 +74,7 @@ def _parse_scalar(text: str):
         v = float(text)
     except ValueError:
         return text
-    return int(v) if v == int(v) and "e" not in text.lower() and "." not in text else v
+    return int(v) if v.is_integer() and "e" not in text.lower() and "." not in text else v
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -96,7 +94,7 @@ def parse_config(path) -> ExperimentConfig:
 def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig:
     known = {
         "problem", "k", "n", "sweep", "coarse_ratio", "coarse", "preconditioners",
-        "overlap", "rtol", "max_iter", "precond_side", "out", "threads", "seed",
+        "overlap", "rtol", "max_iter", "precond_side", "out",
     }
     unknown = set(values) - known
     if unknown:
@@ -107,11 +105,25 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
             return default
         return tuple(item.strip() for item in str(values[key]).split(",") if item.strip())
 
+    def wavenumber(text):
+        v = _parse_scalar(text)
+        if isinstance(v, str) or not 0 < v < math.inf:
+            raise ConfigError(f"{origin}: k must be a finite positive number, got {text!r}")
+        return v
+
+    def integer(key, text, minimum):
+        v = _parse_scalar(str(text))
+        if isinstance(v, str) or not float(v).is_integer():
+            raise ConfigError(f"{origin}: {key} must be an integer, got {text!r}")
+        if v < minimum:
+            raise ConfigError(f"{origin}: {key} must be at least {minimum}, got {text!r}")
+        return int(v)
+
     problem = str(values.get("problem", "MP1")).upper()
     if problem not in PROBLEMS:
         raise ConfigError(f"{origin}: problem must be one of {PROBLEMS}, got {problem!r}")
-    k_list = tuple(_parse_scalar(v) for v in as_list("k", ()))
-    n_list = tuple(int(_parse_scalar(v)) for v in as_list("n", ()))
+    k_list = tuple(wavenumber(v) for v in as_list("k", ()))
+    n_list = tuple(integer("n", v, 2) for v in as_list("n", ()))
     if not k_list or not n_list:
         raise ConfigError(f"{origin}: both k and n sweep lists are required")
     sweep = str(values.get("sweep", "paired")).lower()
@@ -126,7 +138,7 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
         if pk not in PRECONDITIONER_KINDS:
             raise ConfigError(f"{origin}: unknown preconditioner {pk!r}")
     overlap_raw = str(values.get("overlap", "max")).lower()
-    overlap = "max" if overlap_raw == "max" else int(_parse_scalar(overlap_raw))
+    overlap = "max" if overlap_raw == "max" else integer("overlap", overlap_raw, 0)
     try:
         gcfg = GmresConfig(
             rtol=float(values.get("rtol", 1e-7)),
@@ -140,15 +152,18 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
         k_list=k_list,
         n_list=n_list,
         sweep=sweep,
-        coarse_ratio=int(values.get("coarse_ratio", 4)),
+        coarse_ratio=integer("coarse_ratio", values.get("coarse_ratio", 4), 1),
         coarse_kinds=coarse_kinds,
         preconditioners=preconds,
         overlap=overlap,
         gmres=gcfg,
         out=values.get("out"),
-        threads=int(values.get("threads", 1)),
-        seed=int(values.get("seed", 0)),
     )
+
+
+def _hocs_ratio_ok(cfg: ExperimentConfig) -> bool:
+    ratio = cfg.coarse_ratio
+    return "HOCS" not in cfg.coarse_kinds or ratio & (ratio - 1) == 0
 
 
 def validate_config(cfg: ExperimentConfig):
@@ -170,6 +185,8 @@ def validate_config(cfg: ExperimentConfig):
         # sweep protocol intentionally uses the lighter kappa_h condition
         if cfg.problem == "MP1" and n % 2 == 0:
             warnings.append(f"n={n}: MP1 needs odd n (no grid node at the source)")
+        if not _hocs_ratio_ok(cfg):
+            warnings.append(f"coarse_ratio {cfg.coarse_ratio}: HOCS needs a power-of-two ratio")
         results.append((k, n, p, rep, warnings))
     return results
 
@@ -230,12 +247,8 @@ def run_experiment(cfg: ExperimentConfig, warn=None) -> list:
             warn(f"warning: {w}")
     if cfg.problem == "MP1" and any(n % 2 == 0 for _, n, *_ in validated):
         raise ConfigError("MP1 with even n cannot be assembled (no grid node at the source)")
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [
-                pool.submit(_run_cell, cfg, k, n, p, rep) for k, n, p, rep, _ in validated
-            ]
-            return [f.result() for f in futures]
+    if not _hocs_ratio_ok(cfg):
+        raise ConfigError(f"HOCS needs a power-of-two coarse ratio, got {cfg.coarse_ratio}")
     return [_run_cell(cfg, k, n, p, rep) for k, n, p, rep, _ in validated]
 
 
@@ -246,10 +259,12 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows: list, path) -> Path:
-    """Write table rows as CSV; refuses to write an empty table."""
+    """Write table rows as CSV, creating missing parent directories; refuses
+    to write an empty table."""
     if not rows:
         raise ValueError("no rows to write; the sweep produced no results")
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     combos = list(rows[0].iterations.keys())
     header = ["k", "n", "subdomains", "fine_nodes", "coarse_nodes", "kappa_h", "kappa_H"]
     header += combos + ["setup_seconds", "solve_seconds"]

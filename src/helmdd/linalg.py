@@ -1,4 +1,4 @@
-"""Sparse matrix-vector products and direct factorization.
+"""Sparse direct factorization.
 
 Matrices are scipy CSR/CSC matrices over float64 or complex128; the same
 code path serves both scalar kinds. Factorization is SuperLU (LU with
@@ -32,32 +32,8 @@ class SparseFactorization:
     n: int
 
     @property
-    def perm_r(self) -> np.ndarray:
-        return self.lu.perm_r
-
-    @property
-    def perm_c(self) -> np.ndarray:
-        return self.lu.perm_c
-
-    @property
-    def L(self) -> sp.spmatrix:
-        return self.lu.L
-
-    @property
-    def U(self) -> sp.spmatrix:
-        return self.lu.U
-
-    @property
     def fill_nnz(self) -> int:
         return self.lu.L.nnz + self.lu.U.nnz
-
-
-def spmv(A, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product y = A x."""
-    x = np.asarray(x)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has length {x.shape[0]}")
-    return A @ x
 
 
 def factorize(A) -> SparseFactorization:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .coarse import CoarseSpace, coarse_correct, galerkin
+from .coarse import CoarseSpace, coarse_correct
 from .decomposition import Decomposition, block_classes, local_matrix
 
 PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
@@ -91,12 +91,12 @@ class SchwarzPreconditioner:
             raise ValueError(f"unknown preconditioner {kind!r}, expected one of {PRECONDITIONER_KINDS}")
         if A.shape[0] != decomposition.grid.num_unknowns:
             raise ValueError("matrix size does not match the decomposition's grid")
+        if coarse_space.a0_factorization is None:
+            raise ValueError("coarse space is not factorized; call galerkin() first")
         self.kind = kind
         self.A = A
         self.decomposition = decomposition
-        self.coarse_space = (
-            coarse_space if coarse_space.a0_factorization is not None else galerkin(coarse_space, A)
-        )
+        self.coarse_space = coarse_space
         if local_solves is None:
             labels, representatives = block_classes(decomposition, A)
             local_solves = LocalSolves(
@@ -108,31 +108,13 @@ class SchwarzPreconditioner:
             raise ValueError("local solves were built for a different number of unknowns")
         self.local_solves = local_solves
 
-    def apply_as2(self, x: np.ndarray) -> np.ndarray:
-        y = coarse_correct(self.coarse_space, x)
-        self.local_solves.add_to(x, y, weighted=False)
-        return y
-
-    def apply_sas2(self, x: np.ndarray) -> np.ndarray:
-        y = coarse_correct(self.coarse_space, x)
-        self.local_solves.add_to(x, y, weighted=True)
-        return y
-
-    def apply_shs2(self, x: np.ndarray) -> np.ndarray:
-        z = coarse_correct(self.coarse_space, x)
-        deflated = x - self.A @ z
-        y = z.copy()
-        self.local_solves.add_to(deflated, y, weighted=True)
-        return y
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.result_type(np.asarray(x).dtype, self.A.dtype))
         if x.shape[0] != self.A.shape[0]:
             raise ValueError(f"operator has dimension {self.A.shape[0]}, vector {x.shape[0]}")
-        if self.kind == "AS2":
-            return self.apply_as2(x)
-        if self.kind == "SAS2":
-            return self.apply_sas2(x)
-        return self.apply_shs2(x)
+        y = coarse_correct(self.coarse_space, x)
+        r = x - self.A @ y if self.kind == "SHS2" else x
+        self.local_solves.add_to(r, y, weighted=self.kind != "AS2")
+        return y
 
     __call__ = apply

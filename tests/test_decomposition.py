@@ -10,8 +10,6 @@ from helmdd.decomposition import (
     local_matrix,
     max_overlap_layers,
     partition,
-    prolong,
-    restrict,
 )
 from helmdd.discretization import Grid, assemble
 
@@ -119,42 +117,6 @@ def test_max_overlap_multiplicity_bound(n, p, bc):
     dec = extend_max(partition(Grid(n, bc), p))
     assert dec.multiplicity.max() <= 4
     assert dec.multiplicity.min() >= 1
-
-
-class TestRestrictProlong:
-    def test_round_trip_on_unshared_node(self):
-        g = Grid(9, "dirichlet")
-        dec = extend_max(partition(g, 2))
-        target = g.unknown_index(1, 1)  # corner region, single subdomain
-        assert dec.multiplicity[target] == 1
-        e = np.zeros(g.num_unknowns)
-        e[target] = 1.0
-        back = prolong(dec, 0, restrict(dec, 0, e))
-        assert np.array_equal(back, e)
-
-    def test_identity_when_single_subdomain(self):
-        g = Grid(9, "sommerfeld")
-        dec = extend(partition(g, 1), 0)
-        x = np.linspace(0, 1, g.num_unknowns)
-        assert np.array_equal(restrict(dec, 0, x), x)
-
-    def test_prolong_length_checked(self):
-        dec = extend_max(partition(Grid(9, "dirichlet"), 2))
-        with pytest.raises(ValueError):
-            prolong(dec, 0, np.ones(3))
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), i=st.integers(0, 3))
-    def test_prolong_is_transpose_of_restrict(self, seed, i):
-        g = Grid(17, "dirichlet")
-        dec = extend_max(partition(g, 2))
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(g.num_unknowns)
-        y = rng.standard_normal(len(dec.index_sets[i]))
-        lhs = np.dot(restrict(dec, i, x), y)
-        rhs = np.dot(x, prolong(dec, i, y))
-        scale = np.linalg.norm(restrict(dec, i, x)) * np.linalg.norm(y)
-        assert abs(lhs - rhs) < 1e-15 * max(scale, 1.0)
 
 
 def test_local_matrices_are_principal_submatrices():

@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ overlap = max
 rtol = 1e-7
 max_iter = 50
 precond_side = left
-threads = 1
 """
 
 
@@ -60,13 +60,14 @@ class TestParseConfig:
         assert cfg.sweep == "paired"
         assert cfg.coarse_ratio == 4
         assert cfg.gmres.side == "right"
-        assert cfg.threads == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("problem = MP1\nk = 2\nn = 9\nwavelength = 3\n")
-        with pytest.raises(ConfigError, match="wavelength"):
-            parse_config(path)
+        for line in ("wavelength = 3", "threads = 2", "seed = 0"):
+            key = line.split()[0]
+            path.write_text(f"problem = MP1\nk = 2\nn = 9\n{line}\n")
+            with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
+                parse_config(path)
 
     def test_missing_sweep_lists_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -94,6 +95,26 @@ class TestParseConfig:
         base = {"problem": "MP1", "k": "2", "n": "9"}
         base.update(overrides)
         with pytest.raises(ConfigError):
+            config_from_dict(base)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("k", "inf"),
+            ("k", "nan"),
+            ("k", "0"),
+            ("k", "-5"),
+            ("n", "33.7"),
+            ("n", "1"),
+            ("coarse_ratio", "2.5"),
+            ("overlap", "1.5"),
+            ("overlap", "-1"),
+        ],
+    )
+    def test_malformed_numbers_name_their_key(self, key, value):
+        base = {"problem": "MP1", "k": "2", "n": "9"}
+        base[key] = value
+        with pytest.raises(ConfigError, match=rf"\b{key} must"):
             config_from_dict(base)
 
 
@@ -136,6 +157,13 @@ class TestValidateConfig:
         ((*_, warnings),) = validate_config(cfg)
         assert any("odd" in w for w in warnings)
 
+    def test_hocs_ratio_not_power_of_two_flagged(self):
+        cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
+        ((*_, warnings),) = validate_config(cfg)
+        assert any("power-of-two" in w for w in warnings)
+        ((*_, focs_warnings),) = validate_config(replace(cfg, coarse_kinds=("FOCS",)))
+        assert focs_warnings == []
+
     def test_pollution_metric_reported_but_not_warned(self):
         # the protocol's lighter fine-resolution condition holds here even
         # though k^3 h^2 = 1.25 exceeds 1
@@ -157,15 +185,6 @@ def test_run_experiment_is_deterministic(tiny_config):
     assert rows1[0].coarse_nodes == 25
 
 
-def test_run_experiment_threads_match_serial(tiny_config):
-    cfg = parse_config(tiny_config)
-    serial = run_experiment(cfg, warn=lambda m: None)
-    from dataclasses import replace
-
-    threaded = run_experiment(replace(cfg, threads=2), warn=lambda m: None)
-    assert [r.iterations for r in serial] == [r.iterations for r in threaded]
-
-
 def test_run_experiment_marks_nonconvergence():
     cfg = ExperimentConfig(
         problem="MP1",
@@ -183,6 +202,18 @@ def test_run_experiment_marks_nonconvergence():
 def test_run_experiment_rejects_even_n_mp1():
     cfg = ExperimentConfig(problem="MP1", k_list=(5,), n_list=(10,), coarse_ratio=3)
     with pytest.raises(ConfigError, match="even|odd|source"):
+        run_experiment(cfg, warn=lambda m: None)
+
+
+def test_run_experiment_rejects_hocs_ratio_before_any_cell(monkeypatch):
+    from helmdd import harness as harness_mod
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness_mod, "_run_cell", no_cell)
+    cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
+    with pytest.raises(ConfigError, match="power-of-two"):
         run_experiment(cfg, warn=lambda m: None)
 
 
@@ -220,6 +251,11 @@ class TestEmitCsv:
         assert rec["kappa_h"] == "0.25"
         assert rec["HOCS_SHS2"] == "8"
         assert rec["solve_seconds"] == "1.25"
+
+    def test_missing_parent_directory_created(self, tmp_path):
+        out = tmp_path / "results" / "table1.csv"
+        emit_csv(synthetic_rows(1), out)
+        assert out.exists()
 
     def test_nonconverged_cells_print_x(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -319,12 +355,30 @@ class TestCli:
 
         monkeypatch.setattr(harness_mod, "run_experiment", fake_run)
         out = tmp_path / "t3.csv"
-        rc = cli.main(["tables", "3", "--out", str(out), "--max-iter", "25", "--precond-side", "right", "--threads", "2"])
+        rc = cli.main(["tables", "3", "--out", str(out), "--max-iter", "25", "--precond-side", "right"])
         assert rc == 0
         assert out.exists()
         assert seen["cfg"].gmres.max_iter == 25
         assert seen["cfg"].gmres.side == "right"
-        assert seen["cfg"].threads == 2
+
+    def test_tables_max_k_trims_the_sweep(self, tmp_path, monkeypatch):
+        from helmdd import harness as harness_mod
+
+        seen = {}
+
+        def fake_run(cfg, warn=None):
+            seen["cfg"] = cfg
+            return synthetic_rows(2)
+
+        monkeypatch.setattr(harness_mod, "run_experiment", fake_run)
+        rc = cli.main(["tables", "2", "--max-k", "40", "--out", str(tmp_path / "t2.csv")])
+        assert rc == 0
+        assert seen["cfg"].k_list == (20, 40)
+        assert seen["cfg"].n_list == (81, 161)  # paired: n trimmed with k
+        rc = cli.main(["tables", "4", "--max-k", "10", "--out", str(tmp_path / "t4.csv")])
+        assert rc == 0
+        assert seen["cfg"].k_list == (5, 10)
+        assert seen["cfg"].n_list == builtin_table(4).n_list  # product: every n kept
 
 
 def test_csv_identical_apart_from_timings(tiny_config, tmp_path):

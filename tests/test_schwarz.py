@@ -219,3 +219,9 @@ def test_dimension_mismatch_rejected():
     M = SchwarzPreconditioner("AS2", prob.A, dec, cs)
     with pytest.raises(ValueError):
         M.apply(np.ones(50))
+
+
+def test_unfactorized_coarse_space_rejected():
+    prob, dec, _ = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
+    with pytest.raises(ValueError, match="galerkin"):
+        SchwarzPreconditioner("AS2", prob.A, dec, build_focs(dec.grid, 4))
