@@ -105,10 +105,10 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
             return default
         return tuple(item.strip() for item in str(values[key]).split(",") if item.strip())
 
-    def wavenumber(text):
-        v = _parse_scalar(text)
+    def positive(key, text):
+        v = _parse_scalar(str(text))
         if isinstance(v, str) or not 0 < v < math.inf:
-            raise ConfigError(f"{origin}: k must be a finite positive number, got {text!r}")
+            raise ConfigError(f"{origin}: {key} must be a finite positive number, got {text!r}")
         return v
 
     def integer(key, text, minimum):
@@ -122,7 +122,7 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
     problem = str(values.get("problem", "MP1")).upper()
     if problem not in PROBLEMS:
         raise ConfigError(f"{origin}: problem must be one of {PROBLEMS}, got {problem!r}")
-    k_list = tuple(wavenumber(v) for v in as_list("k", ()))
+    k_list = tuple(positive("k", v) for v in as_list("k", ()))
     n_list = tuple(integer("n", v, 2) for v in as_list("n", ()))
     if not k_list or not n_list:
         raise ConfigError(f"{origin}: both k and n sweep lists are required")
@@ -139,11 +139,11 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
             raise ConfigError(f"{origin}: unknown preconditioner {pk!r}")
     overlap_raw = str(values.get("overlap", "max")).lower()
     overlap = "max" if overlap_raw == "max" else integer("overlap", overlap_raw, 0)
+    rtol = float(positive("rtol", values.get("rtol", 1e-7)))
+    max_iter = integer("max_iter", values.get("max_iter", 100), 1)
     try:
         gcfg = GmresConfig(
-            rtol=float(values.get("rtol", 1e-7)),
-            max_iter=int(values.get("max_iter", 100)),
-            side=str(values.get("precond_side", "right")).lower(),
+            rtol=rtol, max_iter=max_iter, side=str(values.get("precond_side", "right")).lower()
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
@@ -185,6 +185,10 @@ def validate_config(cfg: ExperimentConfig):
         # sweep protocol intentionally uses the lighter kappa_h condition
         if cfg.problem == "MP1" and n % 2 == 0:
             warnings.append(f"n={n}: MP1 needs odd n (no grid node at the source)")
+        if cfg.problem == "MP2" and n % 2 == 0:
+            warnings.append(
+                f"n={n}: MP2 with even n puts the source at node {(n - 1) // 2}, off the centre"
+            )
         if not _hocs_ratio_ok(cfg):
             warnings.append(f"coarse_ratio {cfg.coarse_ratio}: HOCS needs a power-of-two ratio")
         results.append((k, n, p, rep, warnings))

@@ -4,7 +4,10 @@ Matrices are scipy CSR/CSC matrices over float64 or complex128; the same
 code path serves both scalar kinds. Factorization is SuperLU (LU with
 partial pivoting on a fill-reducing column ordering), which handles the
 indefinite symmetric systems produced by the discretization, where a
-Cholesky factorization would fail.
+Cholesky factorization would fail.  The column ordering is SuperLU's
+COLAMD unless the caller passes a symmetric permutation of its own (the
+coarse module passes a nested-dissection order for wide stencils); the
+factorization then keeps that order and solve undoes it.
 """
 
 from __future__ import annotations
@@ -30,14 +33,19 @@ class SparseFactorization:
 
     lu: SuperLU
     n: int
+    order: np.ndarray | None = None  # the factors are of A[order][:, order]
 
     @property
     def fill_nnz(self) -> int:
         return self.lu.L.nnz + self.lu.U.nnz
 
 
-def factorize(A) -> SparseFactorization:
+def factorize(A, order=None) -> SparseFactorization:
     """LU-factorize a square sparse matrix.
+
+    With order=None SuperLU picks a COLAMD column ordering.  Otherwise
+    A[order][:, order] is factorized in its natural order, so the elimination
+    follows order; SuperLU's partial pivoting is kept either way.
 
     Raises SingularMatrixError when a pivot falls below PIVOT_RTOL times
     the largest entry of A; near-singular coarse matrices are surfaced
@@ -51,7 +59,7 @@ def factorize(A) -> SparseFactorization:
     if scale == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
     try:
-        lu = splu(A)
+        lu = splu(A) if order is None else splu(A[order][:, order], permc_spec="NATURAL")
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(exc)) from exc
     pivots = np.abs(lu.U.diagonal())
@@ -59,7 +67,7 @@ def factorize(A) -> SparseFactorization:
         raise SingularMatrixError(
             f"near-zero pivot {pivots.min():.3e} (matrix scale {scale:.3e})"
         )
-    return SparseFactorization(lu=lu, n=A.shape[0])
+    return SparseFactorization(lu=lu, n=A.shape[0], order=order)
 
 
 def solve(F: SparseFactorization, b: np.ndarray) -> np.ndarray:
@@ -67,4 +75,9 @@ def solve(F: SparseFactorization, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.shape[0] != F.n:
         raise ValueError(f"dimension mismatch: factorization is {F.n}, vector has length {b.shape[0]}")
-    return F.lu.solve(b)
+    if F.order is None:
+        return F.lu.solve(b)
+    y = F.lu.solve(b[F.order])
+    x = np.empty_like(y)
+    x[F.order] = y
+    return x

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from helmdd.coarse import (
     _bezier_1d,
+    _bisect,
     _hat_1d,
+    _nested_dissection,
     build_focs,
     build_hocs,
     coarse_correct,
     galerkin,
 )
 from helmdd.discretization import Grid, assemble
-from helmdd.linalg import factorize, solve
+from helmdd.linalg import SingularMatrixError, factorize, solve
 
 
 def one_level_bezier_matrix(nf, dirichlet):
@@ -175,6 +180,109 @@ class TestCoarseCorrect:
         r = rng.standard_normal(49)
         expected = solve(factorize(prob.A), r)
         assert np.abs(coarse_correct(cs, r) - expected).max() < 1e-10
+
+
+def random_vector(rng, n, dtype):
+    x = rng.standard_normal(n)
+    return x + 1j * rng.standard_normal(n) if np.dtype(dtype).kind == "c" else x
+
+
+@pytest.mark.parametrize("problem", ["MP1", "MP2"])
+def test_galerkin_casts_r0_to_the_matrix_type(problem):
+    g = Grid(17, "dirichlet" if problem == "MP1" else "sommerfeld")
+    prob = assemble(g, 5.0, problem)
+    built = build_hocs(g, 4)
+    cs = galerkin(built, prob.A)
+    assert built.r0.dtype == np.float64
+    assert cs.r0.dtype == prob.A.dtype
+    rng = np.random.default_rng(6)
+    r = random_vector(rng, g.num_unknowns, prob.A.dtype)
+    got = coarse_correct(cs, r)
+    assert np.array_equal(got, cs.r0.T @ solve(cs.a0_factorization, cs.r0 @ r))
+    # the float R_0 the applies used to upcast gives the same bits
+    assert np.array_equal(got, built.r0.T @ solve(cs.a0_factorization, built.r0 @ r))
+
+
+def stencil_matrix(m, r):
+    """Pattern of a radius-r (2r+1)^2-point stencil on an m-by-m row-major grid."""
+    offsets = range(-min(r, m - 1), min(r, m - 1) + 1)
+    band = sp.diags([np.ones(m - abs(d)) for d in offsets], list(offsets))
+    return sp.kron(band, band, format="csr")
+
+
+def box_nodes(m, box):
+    x0, x1, y0, y1 = box
+    return (np.arange(y0, y1)[:, None] * m + np.arange(x0, x1)).ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 60), r=st.sampled_from([1, 2, 3]))
+def test_nested_dissection_separators_decouple_their_halves(m, r):
+    order = _nested_dissection(m, r)
+    assert np.array_equal(np.sort(order), np.arange(m * m))
+    position = np.empty(m * m, dtype=int)
+    position[order] = np.arange(m * m)
+    A = stencil_matrix(m, r)
+    boxes = [(0, m, 0, m)]
+    while boxes:
+        box = boxes.pop()
+        split = _bisect(box, r)
+        if split is None:
+            assert max(box[1] - box[0], box[3] - box[2]) <= 2 * r + 1
+            continue
+        first, second, separator = (box_nodes(m, b) for b in split)
+        assert len(first) and len(second)
+        assert len(first) + len(second) + len(separator) == len(box_nodes(m, box))
+        assert A[first][:, second].nnz == 0
+        # each separator is numbered after both halves it divides
+        assert max(position[first].max(), position[second].max()) < position[separator].min()
+        boxes += split[:2]
+
+
+def hocs_coarse_space(problem, k):
+    n = 4 * k + 1
+    g = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
+    return galerkin(build_hocs(g, 4), assemble(g, k, problem).A)
+
+
+@pytest.mark.parametrize("k", [20, 40])
+@pytest.mark.parametrize("problem", ["MP1", "MP2"])
+def test_nested_dissection_factorization_matches_colamd(problem, k):
+    cs = hocs_coarse_space(problem, k)
+    F = cs.a0_factorization
+    assert F.order is not None
+    colamd = splu(cs.a0.tocsc())
+    rng = np.random.default_rng(k)
+    b = random_vector(rng, cs.a0.shape[0], cs.a0.dtype)
+
+    def residual(x):
+        return np.linalg.norm(cs.a0 @ x - b) / np.linalg.norm(b)
+
+    nd_residual = residual(solve(F, b))
+    assert nd_residual <= 1e-12
+    assert nd_residual <= 10 * residual(colamd.solve(b))
+    assert F.fill_nnz <= 1.1 * (colamd.L.nnz + colamd.U.nnz)
+
+
+def test_focs_coarse_matrix_keeps_colamd():
+    g = Grid(81, "dirichlet")
+    cs = galerkin(build_focs(g, 4), assemble(g, 20, "MP1").A)
+    assert cs.a0_factorization.order is None
+
+
+@pytest.mark.parametrize("defect", ["zero row and column", "repeated row"])
+def test_nested_dissection_factorization_rejects_singular(defect):
+    cs = hocs_coarse_space("MP1", 20)
+    order = cs.a0_factorization.order
+    a0 = cs.a0.tolil()
+    c = a0.shape[0] // 2
+    if defect == "zero row and column":
+        a0[c, :] = 0.0
+        a0[:, c] = 0.0
+    else:
+        a0[c, :] = a0[c + 1, :]
+    with pytest.raises(SingularMatrixError):
+        factorize(a0.tocsr(), order)
 
 
 def test_rescaled_operator_gives_same_correction():

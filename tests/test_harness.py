@@ -109,6 +109,10 @@ class TestParseConfig:
             ("coarse_ratio", "2.5"),
             ("overlap", "1.5"),
             ("overlap", "-1"),
+            ("max_iter", "1.5"),
+            ("max_iter", "0"),
+            ("rtol", "abc"),
+            ("rtol", "-1"),
         ],
     )
     def test_malformed_numbers_name_their_key(self, key, value):
@@ -156,6 +160,15 @@ class TestValidateConfig:
         cfg = ExperimentConfig(problem="MP1", k_list=(1,), n_list=(10,), coarse_ratio=3)
         ((*_, warnings),) = validate_config(cfg)
         assert any("odd" in w for w in warnings)
+
+    def test_even_n_mp2_flagged(self):
+        cfg = ExperimentConfig(
+            problem="MP2", k_list=(1,), n_list=(10,), coarse_ratio=3, coarse_kinds=("FOCS",)
+        )
+        ((*_, warnings),) = validate_config(cfg)
+        assert any("node 4, off the centre" in w for w in warnings)
+        ((*_, odd_warnings),) = validate_config(replace(cfg, n_list=(13,)))
+        assert odd_warnings == []
 
     def test_hocs_ratio_not_power_of_two_flagged(self):
         cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
