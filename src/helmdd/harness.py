@@ -6,8 +6,15 @@ R_i A R_i^T into classes of identical content, factorizes each distinct
 block once, and shares the resulting local solves across all
 preconditioner kinds; the Galerkin coarse problem is built once per coarse
 kind.  Nonconverged solves are reported with the literal 'x' in place of
-the iteration count.  Reruns of the same configuration produce identical
-counts; only the timing columns vary.
+the iteration count.  Reruns of the same configuration at a fixed BLAS
+thread count produce identical counts; only the timing columns vary.  Cells
+whose residual stagnates near the tolerance (FOCS on MP1, or kappa_H > 1)
+move by 1 or 2 iterations, or across the cap, under any change of
+rounding, a change of BLAS thread count included.  Tables 1-4 to k = 100
+run with one OpenBLAS thread instead of two move 7 of their 235 counts, all
+in such cells: table 2's k = 80 FOCS/SHS2 cell reads 51 instead of 53, and
+its k = 80 FOCS/SAS2 cell converges in 100 iterations instead of missing
+the cap.  No HOCS cell with kappa_H <= 1 moves.
 """
 
 from __future__ import annotations
@@ -18,12 +25,19 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import linalg
 from .coarse import COARSE_KINDS, build_focs, build_hocs, galerkin
 from .decomposition import block_classes, extend, extend_max, local_matrix, partition
 from .discretization import PROBLEMS, Grid, RegimeReport, assemble, regime
 from .gmres import GmresConfig, gmres
 from .schwarz import PRECONDITIONER_KINDS, LocalSolves, SchwarzPreconditioner
+
+
+# relative distance of k^2 from a discrete Dirichlet eigenvalue below which
+# validate_config warns of a resonant MP1 cell
+RESONANCE_RTOL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -166,6 +180,16 @@ def _hocs_ratio_ok(cfg: ExperimentConfig) -> bool:
     return "HOCS" not in cfg.coarse_kinds or ratio & (ratio - 1) == 0
 
 
+def _nearest_dirichlet_mode(k, n: int):
+    """(m, l, lambda) for the eigenvalue lambda of the MP1 discrete Laplacian,
+    (4/h^2)(sin^2(m pi h/2) + sin^2(l pi h/2)) with m, l = 1..n-2, nearest k^2."""
+    h = 1.0 / (n - 1)
+    s = 4.0 / h**2 * np.sin(np.arange(1, n - 1) * np.pi * h / 2) ** 2
+    lam = s[:, None] + s[None, :]
+    m, l = np.unravel_index(np.argmin(np.abs(lam - k * k)), lam.shape)
+    return m + 1, l + 1, lam[m, l]
+
+
 def validate_config(cfg: ExperimentConfig):
     """Regime report and warnings per (k, n) cell; raises ConfigError on
     structural impossibilities (indivisible subdomain/coarse layouts)."""
@@ -185,6 +209,14 @@ def validate_config(cfg: ExperimentConfig):
         # sweep protocol intentionally uses the lighter kappa_h condition
         if cfg.problem == "MP1" and n % 2 == 0:
             warnings.append(f"n={n}: MP1 needs odd n (no grid node at the source)")
+        if cfg.problem == "MP1" and n >= 3:
+            m, l, lam = _nearest_dirichlet_mode(k, n)
+            if abs(k * k - lam) <= RESONANCE_RTOL * k * k:
+                warnings.append(
+                    f"k={k} n={n}: k^2 is within {RESONANCE_RTOL:g} k^2 of the discrete"
+                    f" Dirichlet eigenvalue (m, l) = ({m}, {l}); the MP1 matrix is near"
+                    " singular"
+                )
         if cfg.problem == "MP2" and n % 2 == 0:
             warnings.append(
                 f"n={n}: MP2 with even n puts the source at node {(n - 1) // 2}, off the centre"

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,17 @@ class TestValidateConfig:
         assert any("node 4, off the centre" in w for w in warnings)
         ((*_, odd_warnings),) = validate_config(replace(cfg, n_list=(13,)))
         assert odd_warnings == []
+
+    def test_resonant_k_flagged(self):
+        # k^2 = lambda_11 = (8/h^2) sin^2(pi h/2), the smallest eigenvalue of
+        # the discrete Dirichlet Laplacian on n = 33
+        h = 1.0 / 32
+        k11 = math.sqrt(8.0 / h**2 * math.sin(math.pi * h / 2) ** 2)
+        cfg = ExperimentConfig(problem="MP1", k_list=(k11,), n_list=(33,), coarse_ratio=4)
+        ((*_, warnings),) = validate_config(cfg)
+        assert any("(m, l) = (1, 1)" in w for w in warnings)
+        ((*_, quiet),) = validate_config(replace(cfg, k_list=(20,)))
+        assert not any("eigenvalue" in w for w in quiet)
 
     def test_hocs_ratio_not_power_of_two_flagged(self):
         cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
