@@ -1,9 +1,9 @@
 """Overlapping subdomain decomposition with partition-of-unity weights.
 
 The unit square is split into a p-by-p array of axis-aligned boxes of
-(n-1)/p cells each.  partition() assigns every unknown to exactly one box
-(nodes on internal box edges go to the lower-indexed box).  extend() grows
-the boxes into overlapping subdomains:
+(n-1)/p cells each.  partition() fixes that layout; in it every unknown
+belongs to exactly one box (nodes on internal box edges go to the
+lower-indexed box).  extend() grows the boxes into overlapping subdomains:
 
 * overlap_layers = 0 keeps the disjoint owned sets,
 * overlap_layers = m >= 1 takes the closed node box of the subdomain's
@@ -16,6 +16,11 @@ which is what max_overlap_layers() returns.  The diagonal weights D_i are
 the inverse node multiplicities, so sum_i R_i^T D_i R_i = I holds exactly
 (multiplicities in max-overlap mode are 1, 2 or 4 and the weights are
 exact binary fractions).
+
+A Decomposition stores its subdomains stacked, 16 bytes per subdomain entry
+(an int64 index and a float64 weight): subdomain i = ay*p + ax is the sorted
+indices[offsets[i]:offsets[i+1]], and weights is aligned with indices.
+extend() builds them from the p clipped 1D node ranges by broadcasting.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ MAX_MULTIPLICITY = 4
 
 @dataclass(frozen=True)
 class Partition:
-    """Nonoverlapping assignment of unknowns to p*p subdomain boxes."""
+    """Nonoverlapping layout of the unknowns in p*p subdomain boxes."""
 
     grid: Grid
     p: int
-    index_sets: list
 
     @property
     def cells_per_subdomain(self) -> int:
@@ -45,45 +49,38 @@ class Partition:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Overlapping subdomains: index maps R_i and weights D_i."""
+    """Overlapping subdomains R_i and weights D_i, stacked (see the module docstring)."""
 
     grid: Grid
     p: int
     overlap_layers: int
-    index_sets: list
-    weights: list
+    indices: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
     multiplicity: np.ndarray
 
     @property
     def num_subdomains(self) -> int:
         return self.p * self.p
 
-    @property
-    def cells_per_subdomain(self) -> int:
-        return (self.grid.n - 1) // self.p
 
-
-def _owned_interval_1d(a: int, c: int, grid: Grid):
-    """Node range [lo, hi] owned by 1D box a; internal edges go to the lower box."""
-    lo = a * c + (1 if a > 0 else 0)
-    hi = (a + 1) * c
-    return max(lo, grid.unknown_lo), min(hi, grid.unknown_lo + grid.unknowns_per_dim - 1)
-
-
-def _extended_interval_1d(a: int, c: int, m: int, grid: Grid):
-    """Extended node range of 1D box a for m overlap layers."""
+def _intervals(grid: Grid, p: int, m: int):
+    """Clipped node ranges [lo, hi] of the p 1D boxes for m overlap layers;
+    m = 0 gives the owned ranges, internal edges going to the lower box."""
+    c = (grid.n - 1) // p
+    a = np.arange(p)
     if m == 0:
-        return _owned_interval_1d(a, c, grid)
-    lo = a * c - (m - 1)
-    hi = (a + 1) * c + (m - 1)
-    return max(lo, grid.unknown_lo), min(hi, grid.unknown_lo + grid.unknowns_per_dim - 1)
+        lo, hi = a * c + (a > 0), (a + 1) * c
+    else:
+        lo, hi = a * c - (m - 1), (a + 1) * c + (m - 1)
+    first, last = grid.unknown_lo, grid.unknown_lo + grid.unknowns_per_dim - 1
+    return np.maximum(lo, first), np.minimum(hi, last)
 
 
-def _box_indices(grid: Grid, xint, yint) -> np.ndarray:
-    """Sorted global unknown indices of the rectangle xint x yint."""
-    ix = np.arange(xint[0], xint[1] + 1)
-    iy = np.arange(yint[0], yint[1] + 1)
-    return grid.unknown_index(ix[None, :], iy[:, None]).ravel()
+def _ranges(starts, counts) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over the pairs (s, c)."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
 
 
 def partition(grid: Grid, subdomains_per_dim: int) -> Partition:
@@ -93,14 +90,7 @@ def partition(grid: Grid, subdomains_per_dim: int) -> Partition:
         raise ValueError(f"need at least one subdomain per dimension, got {p}")
     if (grid.n - 1) % p != 0:
         raise ValueError(f"{p} subdomains per dimension do not divide {grid.n - 1} cells")
-    c = (grid.n - 1) // p
-    sets = []
-    for ay in range(p):
-        yint = _owned_interval_1d(ay, c, grid)
-        for ax in range(p):
-            xint = _owned_interval_1d(ax, c, grid)
-            sets.append(_box_indices(grid, xint, yint))
-    return Partition(grid=grid, p=p, index_sets=sets)
+    return Partition(grid=grid, p=p)
 
 
 def max_overlap_layers(part: Partition) -> int:
@@ -113,24 +103,24 @@ def extend(part: Partition, overlap_layers: int, enforce_max_multiplicity: bool 
     m = overlap_layers
     if m < 0:
         raise ValueError(f"overlap layer count must be nonnegative, got {m}")
-    grid, p, c = part.grid, part.p, part.cells_per_subdomain
-    sets = []
-    for ay in range(p):
-        yint = _extended_interval_1d(ay, c, m, grid)
-        for ax in range(p):
-            xint = _extended_interval_1d(ax, c, m, grid)
-            sets.append(_box_indices(grid, xint, yint))
-    mult = np.zeros(grid.num_unknowns)
-    for idx in sets:
-        mult[idx] += 1.0
+    grid, p = part.grid, part.p
+    lo, hi = _intervals(grid, p, m)
+    start, width = lo - grid.unknown_lo, hi - lo + 1
+    # one ragged arange over the rows of every box, then one over the entries of every row
+    ay, ax = np.divmod(np.arange(p * p), p)
+    rows = _ranges(start[ay], width[ay])
+    row_ax = np.repeat(ax, width[ay])
+    indices = _ranges(rows * grid.unknowns_per_dim + start[row_ax], width[row_ax])
+    offsets = np.concatenate(([0], np.cumsum(width[ay] * width[ax])))
+    mult = np.bincount(indices, minlength=grid.num_unknowns).astype(float)
     if enforce_max_multiplicity and mult.max() > MAX_MULTIPLICITY:
         raise ValueError(
             f"overlap {m} puts a node in {int(mult.max())} subdomains "
             f"(max-overlap mode allows {MAX_MULTIPLICITY})"
         )
-    weights = [1.0 / mult[idx] for idx in sets]
     return Decomposition(
-        grid=grid, p=p, overlap_layers=m, index_sets=sets, weights=weights, multiplicity=mult
+        grid=grid, p=p, overlap_layers=m, indices=indices, offsets=offsets,
+        weights=1.0 / mult[indices], multiplicity=mult,
     )
 
 
@@ -141,7 +131,7 @@ def extend_max(part: Partition) -> Decomposition:
 
 def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matrix:
     """Principal submatrix R_i A R_i^T of A on subdomain i."""
-    idx = decomp.index_sets[i]
+    idx = decomp.indices[decomp.offsets[i]:decomp.offsets[i + 1]]
     return A[idx][:, idx]
 
 
@@ -154,22 +144,21 @@ def block_classes(decomp: Decomposition, A) -> tuple:
     and the same stored entries, compared bit for bit, so every member's
     local_matrix equals its representative's.
 
-    All blocks are cut from one gather of the rows A[J], where J stacks the
-    index sets; a single searchsorted on subdomain * N + global index maps
-    each column to its local position, or drops it when it lies outside the
-    subdomain.
+    All blocks are cut from one gather of the rows A[J], where J is the
+    stacked indices; a single searchsorted on subdomain * N + global index
+    maps each column to its local position, or drops it when it lies
+    outside the subdomain.
     """
     A = sp.csr_matrix(A)
-    sizes = np.array([len(idx) for idx in decomp.index_sets])
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    J = np.concatenate(decomp.index_sets)
+    J, offsets = decomp.indices, decomp.offsets
+    sizes = np.diff(offsets)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     local = np.arange(len(J)) - offsets[owner]
 
     # nonzeros of the stacked rows A[J], one entry per (stacked row, column)
     starts, counts = A.indptr[J], np.diff(A.indptr)[J]
     row = np.repeat(np.arange(len(J)), counts)
-    nz = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+    nz = _ranges(starts, counts)
     cols = A.indices[nz]
 
     N = A.shape[1]

@@ -117,7 +117,10 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
     def as_list(key, default):
         if key not in values:
             return default
-        return tuple(item.strip() for item in str(values[key]).split(",") if item.strip())
+        items = tuple(item.strip() for item in str(values[key]).split(",") if item.strip())
+        if not items:
+            raise ConfigError(f"{origin}: {key} must list at least one value, got {values[key]!r}")
+        return items
 
     def positive(key, text):
         v = _parse_scalar(str(text))
@@ -137,7 +140,7 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
     if problem not in PROBLEMS:
         raise ConfigError(f"{origin}: problem must be one of {PROBLEMS}, got {problem!r}")
     k_list = tuple(positive("k", v) for v in as_list("k", ()))
-    n_list = tuple(integer("n", v, 2) for v in as_list("n", ()))
+    n_list = tuple(integer("n", v, 3) for v in as_list("n", ()))
     if not k_list or not n_list:
         raise ConfigError(f"{origin}: both k and n sweep lists are required")
     sweep = str(values.get("sweep", "paired")).lower()
@@ -192,11 +195,17 @@ def _nearest_dirichlet_mode(k, n: int):
 
 def validate_config(cfg: ExperimentConfig):
     """Regime report and warnings per (k, n) cell; raises ConfigError on
-    structural impossibilities (indivisible subdomain/coarse layouts)."""
+    structural impossibilities (indivisible subdomain/coarse layouts, an MP1
+    coarse grid without interior nodes)."""
     results = []
     for k, n in cfg.cells():
         if (n - 1) % cfg.coarse_ratio != 0:
             raise ConfigError(f"coarse ratio {cfg.coarse_ratio} does not divide n-1 = {n - 1}")
+        if cfg.problem == "MP1" and n - 1 == cfg.coarse_ratio:
+            raise ConfigError(
+                f"n={n} with coarse ratio {cfg.coarse_ratio} leaves the MP1 coarse grid"
+                " no interior node"
+            )
         p = (n - 1) // cfg.coarse_ratio
         h = 1.0 / (n - 1)
         rep = regime(k, h, cfg.coarse_ratio * h)

@@ -164,7 +164,7 @@ def test_criterion_07_partition_of_unity():
         g = Grid(n, bc)
         dec = extend(partition(g, p), m)
         total = np.zeros(g.num_unknowns)
-        for idx, w in zip(dec.index_sets, dec.weights):
+        for idx, w in zip(np.split(dec.indices, dec.offsets[1:-1]), np.split(dec.weights, dec.offsets[1:-1])):
             total[idx] += w
         worst = max(worst, np.abs(total - 1.0).max())
     ok = worst < 1e-15 and len(configs) >= 10

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helmdd.decomposition import (
@@ -12,33 +12,100 @@ from helmdd.decomposition import (
     partition,
 )
 from helmdd.discretization import Grid, assemble
+from helmdd.harness import builtin_table
+
+
+def subdomains(decomp, values=None):
+    """Per-subdomain segments of the stacked indices, or of values aligned with them."""
+    return np.split(decomp.indices if values is None else values, decomp.offsets[1:-1])
 
 
 def brute_force_multiplicity(decomp):
     """Recount node membership directly from the stored index sets."""
     mult = np.zeros(decomp.grid.num_unknowns, dtype=int)
-    for idx in decomp.index_sets:
+    for idx in subdomains(decomp):
         for j in idx:
             mult[j] += 1
     return mult
 
 
+def reference_decomposition(grid, p, m):
+    """Index sets, weights and multiplicity built box by box, in a plain loop."""
+    c = (grid.n - 1) // p
+    first, last = grid.unknown_lo, grid.unknown_lo + grid.unknowns_per_dim - 1
+
+    def interval(a):
+        if m == 0:
+            lo, hi = a * c + (1 if a > 0 else 0), (a + 1) * c
+        else:
+            lo, hi = a * c - (m - 1), (a + 1) * c + (m - 1)
+        return max(lo, first), min(hi, last)
+
+    sets = []
+    for ay in range(p):
+        ylo, yhi = interval(ay)
+        for ax in range(p):
+            xlo, xhi = interval(ax)
+            ix, iy = np.arange(xlo, xhi + 1), np.arange(ylo, yhi + 1)
+            sets.append(grid.unknown_index(ix[None, :], iy[:, None]).ravel())
+    mult = np.zeros(grid.num_unknowns)
+    for idx in sets:
+        mult[idx] += 1.0
+    return sets, [1.0 / mult[idx] for idx in sets], mult
+
+
+def assert_matches_reference(dec):
+    sets, weights, mult = reference_decomposition(dec.grid, dec.p, dec.overlap_layers)
+    for got, want in [
+        (dec.indices, np.concatenate(sets)),
+        (dec.offsets, np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))),
+        (dec.weights, np.concatenate(weights)),
+        (dec.multiplicity, mult),
+    ]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_stacked_layout_matches_reference_on_table_layouts():
+    layouts = set()
+    for which in (1, 2, 3, 4):
+        cfg = builtin_table(which)
+        bc = "dirichlet" if cfg.problem == "MP1" else "sommerfeld"
+        layouts |= {(n, (n - 1) // cfg.coarse_ratio, bc) for _, n in cfg.cells()}
+    assert len(layouts) == 46
+    for n, p, bc in sorted(layouts):
+        assert_matches_reference(extend_max(partition(Grid(n, bc), p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 8),
+    cells=st.integers(1, 8),
+    bc=st.sampled_from(["dirichlet", "sommerfeld"]),
+    data=st.data(),
+)
+def test_stacked_layout_matches_reference(p, cells, bc, data):
+    assume(cells * p >= 2)  # a grid needs n >= 3 nodes per dimension
+    part = partition(Grid(cells * p + 1, bc), p)
+    m = data.draw(st.integers(0, max_overlap_layers(part) + 1), label="overlap")
+    assert_matches_reference(extend(part, m))
+
+
 class TestPartition:
     def test_disjoint_cover_interior(self):
-        part = partition(Grid(9, "dirichlet"), 2)
-        assert len(part.index_sets) == 4
-        allidx = np.concatenate(part.index_sets)
-        assert len(allidx) == 49
-        assert len(np.unique(allidx)) == 49
+        dec = extend(partition(Grid(9, "dirichlet"), 2), 0)
+        assert len(subdomains(dec)) == 4
+        assert len(dec.indices) == 49
+        assert len(np.unique(dec.indices)) == 49
 
     def test_table_scale_subdomain_count(self):
-        part = partition(Grid(81, "sommerfeld"), 20)
-        assert len(part.index_sets) == 400
+        dec = extend(partition(Grid(81, "sommerfeld"), 20), 0)
+        assert len(subdomains(dec)) == 400
 
     def test_single_subdomain_is_everything(self):
         g = Grid(9, "sommerfeld")
-        part = partition(g, 1)
-        assert np.array_equal(part.index_sets[0], np.arange(g.num_unknowns))
+        dec = extend(partition(g, 1), 0)
+        assert np.array_equal(subdomains(dec)[0], np.arange(g.num_unknowns))
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError, match="divide"):
@@ -46,11 +113,11 @@ class TestPartition:
 
     def test_internal_edges_go_to_lower_box(self):
         g = Grid(9, "sommerfeld")
-        part = partition(g, 2)
+        sets = subdomains(extend(partition(g, 2), 0))
         # node (4, 4) sits on both internal edges; low-index box 0 owns it
         shared = g.unknown_index(4, 4)
-        assert shared in part.index_sets[0]
-        assert all(shared not in s for s in part.index_sets[1:])
+        assert shared in sets[0]
+        assert all(shared not in s for s in sets[1:])
 
 
 class TestExtend:
@@ -58,7 +125,7 @@ class TestExtend:
         part = partition(Grid(9, "dirichlet"), 2)
         dec = extend(part, 0)
         assert dec.multiplicity.max() == 1
-        for w in dec.weights:
+        for w in subdomains(dec, dec.weights):
             assert np.all(w == 1.0)
 
     def test_max_overlap_central_cross(self):
@@ -70,14 +137,14 @@ class TestExtend:
         dec = extend_max(part)
         center = g.unknown_index(4, 4)
         assert dec.multiplicity[center] == 4
-        i0 = list(dec.index_sets[0]).index(center)
-        assert dec.weights[0][i0] == 0.25
+        i0 = list(subdomains(dec)[0]).index(center)
+        assert subdomains(dec, dec.weights)[0][i0] == 0.25
 
     def test_partition_of_unity_max_overlap(self):
         g = Grid(9, "dirichlet")
         dec = extend_max(partition(g, 2))
         total = np.zeros(g.num_unknowns)
-        for idx, w in zip(dec.index_sets, dec.weights):
+        for idx, w in zip(subdomains(dec), subdomains(dec, dec.weights)):
             total[idx] += w
         assert np.abs(total - 1.0).max() < 1e-15
 
@@ -106,7 +173,7 @@ def test_partition_of_unity_identity(n, p, m, bc):
     g = Grid(n, bc)
     dec = extend(partition(g, p), m)
     total = np.zeros(g.num_unknowns)
-    for idx, w in zip(dec.index_sets, dec.weights):
+    for idx, w in zip(subdomains(dec), subdomains(dec, dec.weights)):
         total[idx] += w
     assert np.abs(total - 1.0).max() < 1e-15
 
@@ -124,8 +191,7 @@ def test_local_matrices_are_principal_submatrices():
     prob = assemble(g, 2.0, "MP1")
     dec = extend_max(partition(g, 2))
     dense = prob.A.toarray()
-    for i in range(dec.num_subdomains):
-        idx = dec.index_sets[i]
+    for i, idx in enumerate(subdomains(dec)):
         expected = dense[np.ix_(idx, idx)]
         assert np.array_equal(local_matrix(dec, i, prob.A).toarray(), expected)
 

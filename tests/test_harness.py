@@ -107,6 +107,7 @@ class TestParseConfig:
             ("k", "-5"),
             ("n", "33.7"),
             ("n", "1"),
+            ("n", "2"),
             ("coarse_ratio", "2.5"),
             ("overlap", "1.5"),
             ("overlap", "-1"),
@@ -114,6 +115,10 @@ class TestParseConfig:
             ("max_iter", "0"),
             ("rtol", "abc"),
             ("rtol", "-1"),
+            ("k", ","),
+            ("n", ","),
+            ("coarse", ","),
+            ("preconditioners", ","),
         ],
     )
     def test_malformed_numbers_name_their_key(self, key, value):
@@ -156,6 +161,14 @@ class TestValidateConfig:
         cfg = ExperimentConfig(problem="MP1", k_list=(5,), n_list=(34,), coarse_ratio=4)
         with pytest.raises(ConfigError, match="divide"):
             validate_config(cfg)
+
+    def test_coarse_grid_without_interior_node_is_hard_error(self):
+        cfg = ExperimentConfig(
+            problem="MP1", k_list=(1,), n_list=(3,), coarse_ratio=2, coarse_kinds=("FOCS",)
+        )
+        with pytest.raises(ConfigError, match="n=3 with coarse ratio 2.*no interior node"):
+            validate_config(cfg)
+        assert validate_config(replace(cfg, problem="MP2"))
 
     def test_even_n_mp1_flagged(self):
         cfg = ExperimentConfig(problem="MP1", k_list=(1,), n_list=(10,), coarse_ratio=3)
@@ -239,6 +252,20 @@ def test_run_experiment_rejects_hocs_ratio_before_any_cell(monkeypatch):
     monkeypatch.setattr(harness_mod, "_run_cell", no_cell)
     cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
     with pytest.raises(ConfigError, match="power-of-two"):
+        run_experiment(cfg, warn=lambda m: None)
+
+
+def test_run_experiment_rejects_coarse_grid_without_interior_node_before_any_cell(monkeypatch):
+    from helmdd import harness as harness_mod
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness_mod, "_run_cell", no_cell)
+    cfg = ExperimentConfig(
+        problem="MP1", k_list=(1, 1), n_list=(9, 3), coarse_ratio=2, coarse_kinds=("FOCS",)
+    )
+    with pytest.raises(ConfigError, match="no interior node"):
         run_experiment(cfg, warn=lambda m: None)
 
 

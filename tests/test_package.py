@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import helmdd
 
 
@@ -7,3 +10,15 @@ def test_star_import_resolves_every_export():
     assert sorted(helmdd.__all__) == sorted(set(helmdd.__all__))
     for name in helmdd.__all__:
         assert namespace[name] is getattr(helmdd, name)
+
+
+def test_benchmark_tracer_targets_exist():
+    """Every name the benchmark's tracer wraps is an attribute of its owner."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans.targets(helmdd, full=True)
+    assert targets
+    for owner, attr, name, _ in targets:
+        assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr} is missing"

@@ -30,7 +30,8 @@ def dense_preconditioner(kind, A, dec, cs):
     C = R0.T @ np.linalg.solve(R0 @ Ad @ R0.T, R0)
     n = Ad.shape[0]
     local = np.zeros_like(Ad)
-    for idx, w in zip(dec.index_sets, dec.weights):
+    cuts = dec.offsets[1:-1]
+    for idx, w in zip(np.split(dec.indices, cuts), np.split(dec.weights, cuts)):
         Ri = np.zeros((len(idx), n), dtype=Ad.dtype)
         Ri[np.arange(len(idx)), idx] = 1.0
         inv = np.linalg.inv(Ri @ Ad @ Ri.T)
@@ -158,10 +159,13 @@ def test_subdomain_order_independence(kind):
     prob, dec, cs = make_instance(17, 5.0, "MP1", 4, "HOCS", 4)
     rng = np.random.default_rng(6)
     perm = rng.permutation(dec.num_subdomains)
+    sets = np.split(dec.indices, dec.offsets[1:-1])
+    weights = np.split(dec.weights, dec.offsets[1:-1])
     shuffled = dreplace(
         dec,
-        index_sets=[dec.index_sets[i] for i in perm],
-        weights=[dec.weights[i] for i in perm],
+        indices=np.concatenate([sets[i] for i in perm]),
+        offsets=np.concatenate(([0], np.cumsum(np.diff(dec.offsets)[perm]))),
+        weights=np.concatenate([weights[i] for i in perm]),
     )
     x = rng.standard_normal(prob.A.shape[0])
     a = SchwarzPreconditioner(kind, prob.A, dec, cs).apply(x)
@@ -174,7 +178,8 @@ def reference_apply(kind, A, dec, cs, x):
     z = coarse_correct(cs, x)
     r = x - A @ z if kind == "SHS2" else x
     y = z.copy()
-    for idx, w in zip(dec.index_sets, dec.weights):
+    cuts = dec.offsets[1:-1]
+    for idx, w in zip(np.split(dec.indices, cuts), np.split(dec.weights, cuts)):
         yi = splu(sp.csc_matrix(A[idx][:, idx])).solve(r[idx])
         y[idx] += yi if kind == "AS2" else w * yi
     return y
