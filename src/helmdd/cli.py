@@ -18,7 +18,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .gmres import GmresConfig
 
 
 def _add_solver_flags(sub):
@@ -32,7 +31,6 @@ def _add_solver_flags(sub):
 
 
 def _apply_overrides(cfg: harness.ExperimentConfig, args) -> harness.ExperimentConfig:
-    gmres_cfg = cfg.gmres
     updates = {}
     if args.max_iter is not None:
         updates["max_iter"] = args.max_iter
@@ -41,12 +39,7 @@ def _apply_overrides(cfg: harness.ExperimentConfig, args) -> harness.ExperimentC
     if args.precond_side is not None:
         updates["side"] = args.precond_side
     if updates:
-        gmres_cfg = GmresConfig(
-            rtol=updates.get("rtol", gmres_cfg.rtol),
-            max_iter=updates.get("max_iter", gmres_cfg.max_iter),
-            side=updates.get("side", gmres_cfg.side),
-        )
-        cfg = replace(cfg, gmres=gmres_cfg)
+        cfg = replace(cfg, gmres=replace(cfg.gmres, **updates))
     if args.out is not None:
         cfg = replace(cfg, out=str(args.out))
     return cfg

@@ -8,13 +8,16 @@ Two coarse spaces on the coarse grid with spacing H = ratio * h:
 * HOCS: rows come from the second-order rational Bezier restriction whose
   one-level 1D stencil is (1, 4, 6, 4, 1)/8 centered at every second fine
   node.  Ratios 4, 8, 16 are realized by composing the one-level stencil
-  through the intermediate grids; the 2D operator is the tensor product of
-  the 1D operator with itself.
+  through the intermediate grids.
 
-Stencil taps falling outside the unknown set are dropped (zero padding).
-On Dirichlet grids the unknown set at every level consists of the interior
-nodes, so coarse basis functions attached to boundary coarse nodes are
-excluded, mirroring the fine-grid convention.
+Both come from one 1D builder that centers a tap vector at every step-th
+node of a line and composes levels: FOCS passes the hat taps 1 - |d|/r at
+step r for one level, HOCS the Bezier taps at step 2 for log2(r) levels.
+R_0 is the tensor product P(x)P of the 1D operator P with itself.  Stencil
+taps falling outside the line are dropped (zero padding).  On Dirichlet
+grids the unknown set at every level consists of the interior nodes, so
+coarse basis functions attached to boundary coarse nodes are excluded,
+mirroring the fine-grid convention.
 
 The coarse matrix A_0 = R_0 A R_0^T is built sparsely and factorized once;
 coarse_correct applies R_0^T A_0^{-1} R_0.  Note the preconditioners built
@@ -39,6 +42,7 @@ ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +52,9 @@ from . import linalg
 from .discretization import Grid
 
 COARSE_KINDS = ("FOCS", "HOCS")
+
+# one-level 1D Bezier restriction stencil, centered at every second fine node
+_BEZIER_TAPS = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 8.0
 
 # Guard for the symmetrization of the computed Galerkin product; genuine
 # asymmetry beyond rounding noise indicates a broken R_0 or A.
@@ -74,16 +81,6 @@ class CoarseSpace:
         """All-node count of the coarse grid (the |G_H| bookkeeping figure)."""
         return self.coarse_nodes_per_dim**2
 
-    @property
-    def num_coarse_unknowns(self) -> int:
-        return self.r0.shape[0]
-
-    @property
-    def a0_nnz(self) -> int:
-        if self.a0 is None:
-            raise ValueError("coarse matrix not built; call galerkin() first")
-        return self.a0.nnz
-
 
 def _check_ratio(grid: Grid, ratio: int, powers_of_two: bool):
     if ratio < 1 or (grid.n - 1) % ratio != 0:
@@ -92,55 +89,23 @@ def _check_ratio(grid: Grid, ratio: int, powers_of_two: bool):
         raise ValueError(f"Bezier coarse space needs a power-of-two ratio, got {ratio}")
 
 
-def _hat_1d(grid: Grid, ratio: int) -> sp.csr_matrix:
-    """1D hat-function sampling matrix (coarse nodes x fine unknowns)."""
-    n, r = grid.n, ratio
-    M = (n - 1) // r + 1
-    rows, cols, vals = [], [], []
-    for J in range(M):
-        for d in range(-r + 1, r):
-            i = r * J + d
-            if 0 <= i < n:
-                rows.append(J)
-                cols.append(i)
-                vals.append(1.0 - abs(d) / r)
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(M, n))
-    if grid.bc == "dirichlet":
-        P = P[1:-1, 1:-1]
-    return P
-
-
-def _bezier_1d(grid: Grid, ratio: int) -> sp.csr_matrix:
-    """1D Bezier restriction, one-level stencils composed across levels."""
-    weights = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 8.0
-    dirichlet = grid.bc == "dirichlet"
-    op = None
+def _restriction_1d(grid: Grid, taps: np.ndarray, step: int, levels: int) -> sp.csr_matrix:
+    """1D restriction composed over levels: each level centers the odd-length
+    taps at every step-th node of its line, drops the taps that fall off the
+    line and, under Dirichlet, keeps only the interior rows and columns."""
+    radius = len(taps) // 2
+    op = sp.identity(grid.unknowns_per_dim, format="csr")
     nf = grid.n
-    for _ in range(int(round(np.log2(ratio)))):
-        M = (nf + 1) // 2
-        rows, cols, vals = [], [], []
-        if dirichlet:
-            # unknowns are the interior nodes of each level's grid
-            for I in range(1, M - 1):
-                for d in range(-2, 3):
-                    i = 2 * I + d
-                    if 1 <= i <= nf - 2:
-                        rows.append(I - 1)
-                        cols.append(i - 1)
-                        vals.append(weights[d + 2])
-            S = sp.csr_matrix((vals, (rows, cols)), shape=(M - 2, nf - 2))
-        else:
-            for I in range(M):
-                for d in range(-2, 3):
-                    i = 2 * I + d
-                    if 0 <= i < nf:
-                        rows.append(I)
-                        cols.append(i)
-                        vals.append(weights[d + 2])
-            S = sp.csr_matrix((vals, (rows, cols)), shape=(M, nf))
-        op = S if op is None else S @ op
+    for _ in range(levels):
+        M = (nf - 1) // step + 1
+        rows = np.repeat(np.arange(M), len(taps))
+        cols = step * rows + np.tile(np.arange(-radius, radius + 1), M)
+        on = (cols >= 0) & (cols < nf)
+        S = sp.csr_matrix((np.tile(taps, M)[on], (rows[on], cols[on])), shape=(M, nf))
+        if grid.bc == "dirichlet":
+            S = S[1:-1, 1:-1]
+        op = S @ op
         nf = M
-    op.sum_duplicates()
     return op
 
 
@@ -153,13 +118,16 @@ def _tensor_square(P1: sp.csr_matrix) -> sp.csr_matrix:
 def build_focs(grid: Grid, ratio: int) -> CoarseSpace:
     """Linear (bilinear hat) coarse space with H = ratio * h."""
     _check_ratio(grid, ratio, powers_of_two=False)
-    return CoarseSpace(kind="FOCS", grid=grid, ratio=ratio, r0=_tensor_square(_hat_1d(grid, ratio)))
+    taps = 1.0 - np.abs(np.arange(1 - ratio, ratio)) / ratio
+    P = _restriction_1d(grid, taps, ratio, 1)
+    return CoarseSpace(kind="FOCS", grid=grid, ratio=ratio, r0=_tensor_square(P))
 
 
 def build_hocs(grid: Grid, ratio: int) -> CoarseSpace:
     """Higher-order Bezier coarse space with H = ratio * h (ratio in 2,4,8,16)."""
     _check_ratio(grid, ratio, powers_of_two=True)
-    return CoarseSpace(kind="HOCS", grid=grid, ratio=ratio, r0=_tensor_square(_bezier_1d(grid, ratio)))
+    P = _restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio)))
+    return CoarseSpace(kind="HOCS", grid=grid, ratio=ratio, r0=_tensor_square(P))
 
 
 def _bisect(box, w: int):
@@ -222,7 +190,7 @@ def galerkin(cs: CoarseSpace, A: sp.csr_matrix) -> CoarseSpace:
         raise ValueError("Galerkin product lost symmetry; A is not symmetric")
     a0 = ((B + B.T) * 0.5).tocsr()
     a0.sort_indices()
-    side = cs.coarse_nodes_per_dim - (2 if cs.grid.bc == "dirichlet" else 0)
+    side = math.isqrt(r0.shape[0])
     radius = _stencil_radius(a0, side)
     # Separators one wider than the radius: under partial pivoting a
     # separator row pivoted into a half's elimination brings its couplings

@@ -17,10 +17,11 @@ the inverse node multiplicities, so sum_i R_i^T D_i R_i = I holds exactly
 (multiplicities in max-overlap mode are 1, 2 or 4 and the weights are
 exact binary fractions).
 
-A Decomposition stores its subdomains stacked, 16 bytes per subdomain entry
-(an int64 index and a float64 weight): subdomain i = ay*p + ax is the sorted
-indices[offsets[i]:offsets[i+1]], and weights is aligned with indices.
-extend() builds them from the p clipped 1D node ranges by broadcasting.
+A Decomposition stores its subdomains stacked, 8 bytes per subdomain entry
+(an int64 index) plus the N node multiplicities: subdomain i = ay*p + ax is
+the sorted indices[offsets[i]:offsets[i+1]], and the weights D_i, aligned
+with indices, are derived from the multiplicity on demand.  extend() builds
+the arrays from the p clipped 1D node ranges by broadcasting.
 """
 
 from __future__ import annotations
@@ -56,12 +57,16 @@ class Decomposition:
     overlap_layers: int
     indices: np.ndarray
     offsets: np.ndarray
-    weights: np.ndarray
     multiplicity: np.ndarray
 
     @property
     def num_subdomains(self) -> int:
         return self.p * self.p
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The diagonals of every D_i, aligned with indices."""
+        return 1.0 / self.multiplicity[self.indices]
 
 
 def _intervals(grid: Grid, p: int, m: int):
@@ -119,8 +124,7 @@ def extend(part: Partition, overlap_layers: int, enforce_max_multiplicity: bool 
             f"(max-overlap mode allows {MAX_MULTIPLICITY})"
         )
     return Decomposition(
-        grid=grid, p=p, overlap_layers=m, indices=indices, offsets=offsets,
-        weights=1.0 / mult[indices], multiplicity=mult,
+        grid=grid, p=p, overlap_layers=m, indices=indices, offsets=offsets, multiplicity=mult
     )
 
 

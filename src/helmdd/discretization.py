@@ -13,7 +13,9 @@ elimination: a central difference for du/dn combined with the PDE at the
 boundary node, which doubles the inward-neighbor coefficient and adds
 -2ik/h to the diagonal.  Boundary rows are then scaled by 1/2 (corners by
 1/4) so that the assembled matrix is exactly symmetric; this is a row
-scaling of the equations and leaves the solution unchanged.
+scaling of the equations and leaves the solution unchanged.  Either 2D
+matrix is then the Kronecker sum A = T(x)W + W(x)T - k^2 W(x)W of a 1D
+operator T and 1D weights W (see assemble).
 
 The point source is represented by a load of 1/h^2 at the grid node at
 (1/2, 1/2), the nodal-cell approximation of a unit Dirac mass.
@@ -127,38 +129,14 @@ def regime(k: float, h: float, H: float) -> RegimeReport:
     return RegimeReport(kappa_h=k * h, kappa_H=k * H, pollution_metric=k**3 * h**2)
 
 
-def _second_difference_1d(m: int) -> sp.csr_matrix:
-    """Tridiagonal (-1, 2, -1) operator of size m (not yet scaled by 1/h^2)."""
-    ones = np.ones(m - 1)
-    return sp.diags([-ones, 2 * np.ones(m), -ones], [-1, 0, 1], format="csr")
-
-
-def _sommerfeld_1d(n: int, k: float, h: float) -> sp.csr_matrix:
-    """1D ghost-point Sommerfeld operator with symmetrizing 1/2 end-row scale.
-
-    Interior rows are (-1, 2, -1)/h^2; the scaled end rows are
-    (1, -1)/h^2 - ik/h on the diagonal.
-    """
-    T = _second_difference_1d(n).astype(complex).tolil()
-    T[0, 0] = 1.0
-    T[n - 1, n - 1] = 1.0
-    T = (T / h**2).tolil()
-    T[0, 0] -= 1j * k / h
-    T[n - 1, n - 1] -= 1j * k / h
-    return T.tocsr()
-
-
-def _boundary_weights_1d(n: int) -> np.ndarray:
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    return w
-
-
 def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     """Assemble the system matrix and point-source load vector.
 
-    The 2D operator is built from tensor products of 1D operators, which
-    keeps assembly vectorized and makes symmetry structural.
+    Both problems are the Kronecker sum A = T(x)W + W(x)T - k^2 W(x)W of 1D
+    factors on the unknowns of a grid line: T is the second difference
+    (-1, 2, -1)/h^2 and W = I for MP1; for MP2 the ghost-point Sommerfeld
+    end rows, halved, make T's end diagonal 1/h^2 - ik/h, and W halves the
+    end nodes.  This keeps assembly vectorized and makes symmetry structural.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {PROBLEMS}")
@@ -167,27 +145,22 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     expected_bc = "dirichlet" if problem == "MP1" else "sommerfeld"
     if grid.bc != expected_bc:
         raise ValueError(f"{problem} requires a {expected_bc} grid, got {grid.bc!r}")
-    n, h = grid.n, grid.h
-    if problem == "MP1":
-        if n % 2 == 0:
-            raise ValueError("MP1 needs odd n so the source at (1/2, 1/2) is a grid node")
-        m = n - 2
-        T = _second_difference_1d(m) / h**2
-        I = sp.identity(m, format="csr")
-        A = sp.kron(T, I) + sp.kron(I, T) - k**2 * sp.identity(m * m)
-        f = np.zeros(m * m)
-        center = grid.unknown_index((n - 1) // 2, (n - 1) // 2)
-        f[center] = 1.0 / h**2
-    else:
-        T = _sommerfeld_1d(n, k, h)
-        W = sp.diags(_boundary_weights_1d(n))
-        A = sp.kron(T, W) + sp.kron(W, T) - k**2 * sp.kron(W, W)
-        f = np.zeros(n * n, dtype=complex)
-        # node nearest (1/2, 1/2); exact center for odd n
-        c = (n - 1) // 2
-        f[grid.unknown_index(c, c)] = 1.0 / h**2
-    A = sp.csr_matrix(A)
+    n, h, m = grid.n, grid.h, grid.unknowns_per_dim
+    if problem == "MP1" and n % 2 == 0:
+        raise ValueError("MP1 needs odd n so the source at (1/2, 1/2) is a grid node")
+    diagonal = np.full(m, 2.0 / h**2, dtype=float if problem == "MP1" else complex)
+    weights = np.ones(m)
+    if problem == "MP2":
+        diagonal[[0, -1]] = 1.0 / h**2 - 1j * k / h
+        weights[[0, -1]] = 0.5
+    off = np.full(m - 1, -1.0 / h**2)
+    T, W = sp.diags([off, diagonal, off], [-1, 0, 1], format="csr"), sp.diags(weights)
+    A = sp.csr_matrix(sp.kron(T, W) + sp.kron(W, T) - k**2 * sp.kron(W, W))
     A.sort_indices()
+    f = np.zeros(grid.num_unknowns, dtype=A.dtype)
+    # node nearest (1/2, 1/2); exact center for odd n
+    c = (n - 1) // 2
+    f[grid.unknown_index(c, c)] = 1.0 / h**2
     return HelmholtzProblem(grid=grid, k=k, problem=problem, A=A, f=f)
 
 

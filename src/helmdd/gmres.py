@@ -23,6 +23,7 @@ before it, a test that does not depend on the scale of the operator.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,8 +39,8 @@ class GmresConfig:
     side: str = "right"
 
     def __post_init__(self):
-        if self.rtol <= 0:
-            raise ValueError(f"relative tolerance must be positive, got {self.rtol}")
+        if not 0 < self.rtol < math.inf:
+            raise ValueError(f"relative tolerance must be finite and positive, got {self.rtol}")
         if self.max_iter < 1:
             raise ValueError(f"iteration cap must be at least 1, got {self.max_iter}")
         if self.side not in ("left", "right"):

@@ -178,11 +178,6 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
     )
 
 
-def _hocs_ratio_ok(cfg: ExperimentConfig) -> bool:
-    ratio = cfg.coarse_ratio
-    return "HOCS" not in cfg.coarse_kinds or ratio & (ratio - 1) == 0
-
-
 def _nearest_dirichlet_mode(k, n: int):
     """(m, l, lambda) for the eigenvalue lambda of the MP1 discrete Laplacian,
     (4/h^2)(sin^2(m pi h/2) + sin^2(l pi h/2)) with m, l = 1..n-2, nearest k^2."""
@@ -195,20 +190,33 @@ def _nearest_dirichlet_mode(k, n: int):
 
 def validate_config(cfg: ExperimentConfig):
     """Regime report and warnings per (k, n) cell; raises ConfigError on
-    structural impossibilities (indivisible subdomain/coarse layouts, an MP1
-    coarse grid without interior nodes)."""
+    structural impossibilities (indivisible subdomain/coarse layouts, HOCS
+    with a ratio that is not a power of two, and MP1 with even n, with a
+    coarse grid without interior nodes or with empty subdomains)."""
+    ratio = cfg.coarse_ratio
+    overlap = ratio // 2 if cfg.overlap == "max" else int(cfg.overlap)
     results = []
     for k, n in cfg.cells():
-        if (n - 1) % cfg.coarse_ratio != 0:
-            raise ConfigError(f"coarse ratio {cfg.coarse_ratio} does not divide n-1 = {n - 1}")
-        if cfg.problem == "MP1" and n - 1 == cfg.coarse_ratio:
-            raise ConfigError(
-                f"n={n} with coarse ratio {cfg.coarse_ratio} leaves the MP1 coarse grid"
-                " no interior node"
-            )
-        p = (n - 1) // cfg.coarse_ratio
+        if (n - 1) % ratio != 0:
+            raise ConfigError(f"coarse ratio {ratio} does not divide n-1 = {n - 1}")
+        if cfg.problem == "MP1":
+            if n % 2 == 0:
+                raise ConfigError(f"n={n}: MP1 needs odd n (no grid node at the source)")
+            if n - 1 == ratio:
+                raise ConfigError(
+                    f"n={n} with coarse ratio {ratio} leaves the MP1 coarse grid no interior node"
+                )
+            if ratio == 1 and overlap == 0:
+                # the owned nodes of the last box row and column are boundary nodes
+                raise ConfigError(
+                    f"n={n} with coarse ratio 1 and overlap {cfg.overlap} leaves the last row"
+                    " and column of MP1 subdomains empty"
+                )
+        if "HOCS" in cfg.coarse_kinds and ratio & (ratio - 1):
+            raise ConfigError(f"HOCS needs a power-of-two coarse ratio, got {ratio}")
+        p = (n - 1) // ratio
         h = 1.0 / (n - 1)
-        rep = regime(k, h, cfg.coarse_ratio * h)
+        rep = regime(k, h, ratio * h)
         warnings = []
         if not rep.kappa_h_ok:
             warnings.append(f"k={k} n={n}: kappa_h = {rep.kappa_h:.4g} exceeds 0.25")
@@ -216,8 +224,6 @@ def validate_config(cfg: ExperimentConfig):
             warnings.append(f"k={k} n={n}: kappa_H = {rep.kappa_H:.4g} exceeds 1")
         # the pollution product k^3 h^2 is reported but not warned about: the
         # sweep protocol intentionally uses the lighter kappa_h condition
-        if cfg.problem == "MP1" and n % 2 == 0:
-            warnings.append(f"n={n}: MP1 needs odd n (no grid node at the source)")
         if cfg.problem == "MP1" and n >= 3:
             m, l, lam = _nearest_dirichlet_mode(k, n)
             if abs(k * k - lam) <= RESONANCE_RTOL * k * k:
@@ -230,8 +236,6 @@ def validate_config(cfg: ExperimentConfig):
             warnings.append(
                 f"n={n}: MP2 with even n puts the source at node {(n - 1) // 2}, off the centre"
             )
-        if not _hocs_ratio_ok(cfg):
-            warnings.append(f"coarse_ratio {cfg.coarse_ratio}: HOCS needs a power-of-two ratio")
         results.append((k, n, p, rep, warnings))
     return results
 
@@ -290,10 +294,6 @@ def run_experiment(cfg: ExperimentConfig, warn=None) -> list:
     for _, _, _, _, warnings in validated:
         for w in warnings:
             warn(f"warning: {w}")
-    if cfg.problem == "MP1" and any(n % 2 == 0 for _, n, *_ in validated):
-        raise ConfigError("MP1 with even n cannot be assembled (no grid node at the source)")
-    if not _hocs_ratio_ok(cfg):
-        raise ConfigError(f"HOCS needs a power-of-two coarse ratio, got {cfg.coarse_ratio}")
     return [_run_cell(cfg, k, n, p, rep) for k, n, p, rep, _ in validated]
 
 

@@ -19,11 +19,14 @@ LocalSolves groups the subdomains into these block classes
 (decomposition.block_classes), factorizes one representative per class and
 keeps its dense inverse.  The one-level term is then applied as one gather
 x[G] of every subdomain's entries, one matrix product per class with the
-class's inverse, the weights D_i, and one scatter-add.  The inverses take
-sum over classes of s_c^2 entries for class block sizes s_c (234 KB for
-MP2 at k = 200).  The Decomposition holds the stacked indices and weights
-once, 16 bytes per subdomain entry (31 MB there, 1.95 million entries), and
-LocalSolves keeps a class-ordered copy of both (another 31 MB).
+class's inverse and one scatter-add.  The weights D_i are the inverse node
+multiplicities, so sum_i R_i^T D_i y_i = D sum_i R_i^T y_i with
+D = diag(1/multiplicity): the scaled variants divide the scattered sum by
+the multiplicity.  The inverses take sum over classes of s_c^2 entries for
+class block sizes s_c (234 KB for MP2 at k = 200).  The Decomposition holds
+the stacked indices once, 8 bytes per subdomain entry (15.6 MB there, 1.95
+million entries), plus the N node multiplicities (5.1 MB), and LocalSolves
+keeps a class-ordered copy of the indices only (another 15.6 MB).
 """
 
 from __future__ import annotations
@@ -47,19 +50,18 @@ class LocalSolves:
 
     def __init__(self, decomposition: Decomposition, labels, factorizations: list):
         self.num_unknowns = decomposition.grid.num_unknowns
-        gather, scale = [], []
+        self.multiplicity = decomposition.multiplicity
+        gather = []
         self.classes = []  # (start, stop, dense inverse) of each class's stretch of the gather
         start = 0
         for c, F in enumerate(factorizations):
             members = np.flatnonzero(labels == c)
             entries = (decomposition.offsets[members, None] + np.arange(F.n)).ravel()
             gather.append(decomposition.indices[entries])
-            scale.append(decomposition.weights[entries])
             stop = start + len(entries)
             self.classes.append((start, stop, linalg.solve(F, np.eye(F.n))))
             start = stop
         self.gather = np.concatenate(gather)
-        self.weights = np.concatenate(scale)
 
     def add_to(self, x: np.ndarray, out: np.ndarray, weighted: bool):
         """Accumulate the one-level term applied to x into out."""
@@ -69,12 +71,13 @@ class LocalSolves:
         for start, stop, inv in self.classes:
             s = len(inv)
             np.matmul(xs[start:stop].reshape(-1, s), inv.T, out=ys[start:stop].reshape(-1, s))
-        if weighted:
-            ys *= self.weights
         n = self.num_unknowns
-        out += np.bincount(self.gather, weights=ys.real, minlength=n)
+        total = np.bincount(self.gather, weights=ys.real, minlength=n)
         if np.iscomplexobj(ys):
-            out += 1j * np.bincount(self.gather, weights=ys.imag, minlength=n)
+            total = total + 1j * np.bincount(self.gather, weights=ys.imag, minlength=n)
+        if weighted:
+            total /= self.multiplicity
+        out += total
 
 
 class SchwarzPreconditioner:

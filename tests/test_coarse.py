@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from helmdd.coarse import (
-    _bezier_1d,
+    _BEZIER_TAPS,
     _bisect,
-    _hat_1d,
     _nested_dissection,
+    _restriction_1d,
     build_focs,
     build_hocs,
     coarse_correct,
@@ -35,12 +37,30 @@ def one_level_bezier_matrix(nf, dirichlet):
     return S
 
 
+def bezier_1d(grid, ratio):
+    return _restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio)))
+
+
+def hat_matrix(n, r, dirichlet):
+    """Dense 1D hat sampling: entry (J, i) = max(0, 1 - |i - rJ|/r), written out independently."""
+    P = np.zeros(((n - 1) // r + 1, n))
+    for J in range(P.shape[0]):
+        for i in range(n):
+            if abs(i - r * J) < r:
+                P[J, i] = 1.0 - abs(i - r * J) / r
+    return P[1:-1, 1:-1] if dirichlet else P
+
+
 class TestFocs:
     def test_one_dimensional_hat_weights(self):
-        P = _hat_1d(Grid(5, "sommerfeld"), 2).toarray()
+        for ratio, bc, cells in itertools.product(range(1, 17), ("dirichlet", "sommerfeld"), (2, 3)):
+            n = ratio * cells + 1
+            P = hat_matrix(n, ratio, bc == "dirichlet")
+            cs = build_focs(Grid(n, bc), ratio)
+            assert np.array_equal(cs.r0.toarray(), np.kron(P, P)), (ratio, bc, n)
+        P = hat_matrix(5, 2, dirichlet=False)
         # interior coarse node at fine node 2: weights (1/2, 1, 1/2)
-        assert P[1, 1:4] == pytest.approx([0.5, 1.0, 0.5])
-        assert P[1, 0] == 0.0 and P[1, 4] == 0.0
+        assert np.array_equal(P[1], [0.0, 0.5, 1.0, 0.5, 0.0])
 
     def test_linear_reproduction(self):
         g = Grid(9, "sommerfeld")
@@ -56,12 +76,12 @@ class TestFocs:
         cs = build_focs(Grid(81, "sommerfeld"), 4)
         assert cs.coarse_nodes_per_dim == 21
         assert cs.coarse_size == 441
-        assert cs.num_coarse_unknowns == 441
+        assert cs.r0.shape[0] == 441
 
     def test_dirichlet_excludes_boundary_coarse_nodes(self):
         cs = build_focs(Grid(81, "dirichlet"), 4)
         assert cs.coarse_size == 441  # bookkeeping counts all coarse nodes
-        assert cs.num_coarse_unknowns == 19 * 19
+        assert cs.r0.shape[0] == 19 * 19
         assert cs.r0.shape == (361, 79 * 79)
 
     def test_noninteger_ratio_rejected(self):
@@ -71,24 +91,31 @@ class TestFocs:
 
 class TestHocs:
     def test_one_level_stencil_weights(self):
-        S = _bezier_1d(Grid(9, "sommerfeld"), 2).toarray()
+        S = bezier_1d(Grid(9, "sommerfeld"), 2).toarray()
         assert S[2, 2:7] == pytest.approx([0.125, 0.5, 0.75, 0.5, 0.125])
 
     def test_constant_restriction_weight_sum(self):
-        S = _bezier_1d(Grid(9, "sommerfeld"), 2)
+        S = bezier_1d(Grid(9, "sommerfeld"), 2)
         totals = S @ np.ones(9)
         assert totals[2] == pytest.approx(2.0)
 
     def test_two_level_composition_matches_explicit_product(self):
-        for bc in ("dirichlet", "sommerfeld"):
-            g = Grid(17, bc)
-            got = _bezier_1d(g, 4).toarray()
-            d = bc == "dirichlet"
-            expected = one_level_bezier_matrix(9, d) @ one_level_bezier_matrix(17, d)
-            assert np.abs(got - expected).max() == 0.0
+        # the taps are dyadic, so every product and sum below is exact; ratio 1 is the identity
+        for ratio, bc, cells in itertools.product((1, 2, 4, 8, 16), ("dirichlet", "sommerfeld"), (1, 2, 3, 5)):
+            n = ratio * cells + 1
+            if n < 3:
+                continue
+            expected = np.eye(n - 2 if bc == "dirichlet" else n)
+            nf = n
+            while nf > cells + 1:
+                expected = one_level_bezier_matrix(nf, bc == "dirichlet") @ expected
+                nf = (nf + 1) // 2
+            assert np.array_equal(bezier_1d(Grid(n, bc), ratio).toarray(), expected), (ratio, bc, n)
+            r0 = build_hocs(Grid(n, bc), ratio).r0.toarray()
+            assert np.array_equal(r0, np.kron(expected, expected)), (ratio, bc, n)
 
     def test_boundary_taps_dropped(self):
-        S = _bezier_1d(Grid(9, "sommerfeld"), 2).toarray()
+        S = bezier_1d(Grid(9, "sommerfeld"), 2).toarray()
         # first coarse row loses its out-of-range taps; weights are not folded
         assert S[0, 0] == pytest.approx(0.75)
         assert S[0, 1] == pytest.approx(0.5)
@@ -102,7 +129,7 @@ class TestHocs:
     def test_tensor_structure(self):
         g = Grid(17, "sommerfeld")
         cs = build_hocs(g, 4)
-        P1 = _bezier_1d(g, 4)
+        P1 = bezier_1d(g, 4)
         rng = np.random.default_rng(5)
         u, v = rng.standard_normal(17), rng.standard_normal(17)
         sep = np.outer(v, u).ravel()  # index = iy*n + ix
@@ -141,7 +168,7 @@ class TestGalerkin:
         focs = galerkin(build_focs(g, 4), prob.A)
         hocs = galerkin(build_hocs(g, 4), prob.A)
         assert focs.a0.shape == hocs.a0.shape
-        assert hocs.a0_nnz > focs.a0_nnz
+        assert hocs.a0.nnz > focs.a0.nnz
 
     def test_dimension_mismatch_rejected(self):
         cs = build_focs(Grid(9, "sommerfeld"), 2)

@@ -57,7 +57,15 @@ class TestConfig:
         assert cfg.rtol == 1e-7 and cfg.max_iter == 100 and cfg.side == "right"
 
     @pytest.mark.parametrize(
-        "kwargs", [{"rtol": 0.0}, {"rtol": -1e-3}, {"max_iter": 0}, {"side": "middle"}]
+        "kwargs",
+        [
+            {"rtol": 0.0},
+            {"rtol": -1e-3},
+            {"rtol": float("nan")},
+            {"rtol": float("inf")},
+            {"max_iter": 0},
+            {"side": "middle"},
+        ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

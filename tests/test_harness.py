@@ -172,8 +172,8 @@ class TestValidateConfig:
 
     def test_even_n_mp1_flagged(self):
         cfg = ExperimentConfig(problem="MP1", k_list=(1,), n_list=(10,), coarse_ratio=3)
-        ((*_, warnings),) = validate_config(cfg)
-        assert any("odd" in w for w in warnings)
+        with pytest.raises(ConfigError, match="n=10: MP1 needs odd n"):
+            validate_config(cfg)
 
     def test_even_n_mp2_flagged(self):
         cfg = ExperimentConfig(
@@ -197,10 +197,21 @@ class TestValidateConfig:
 
     def test_hocs_ratio_not_power_of_two_flagged(self):
         cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
-        ((*_, warnings),) = validate_config(cfg)
-        assert any("power-of-two" in w for w in warnings)
+        with pytest.raises(ConfigError, match="power-of-two coarse ratio, got 6"):
+            validate_config(cfg)
         ((*_, focs_warnings),) = validate_config(replace(cfg, coarse_kinds=("FOCS",)))
         assert focs_warnings == []
+
+    @pytest.mark.parametrize("overlap", ["max", 0])
+    def test_empty_mp1_subdomains_are_hard_error(self, overlap):
+        cfg = ExperimentConfig(
+            problem="MP1", k_list=(1,), n_list=(9,), coarse_ratio=1, coarse_kinds=("FOCS",),
+            overlap=overlap,
+        )
+        with pytest.raises(ConfigError, match=f"n=9 with coarse ratio 1 and overlap {overlap}"):
+            validate_config(cfg)
+        assert validate_config(replace(cfg, overlap=1))
+        assert validate_config(replace(cfg, problem="MP2"))
 
     def test_pollution_metric_reported_but_not_warned(self):
         # the protocol's lighter fine-resolution condition holds here even
@@ -266,6 +277,20 @@ def test_run_experiment_rejects_coarse_grid_without_interior_node_before_any_cel
         problem="MP1", k_list=(1, 1), n_list=(9, 3), coarse_ratio=2, coarse_kinds=("FOCS",)
     )
     with pytest.raises(ConfigError, match="no interior node"):
+        run_experiment(cfg, warn=lambda m: None)
+
+
+def test_run_experiment_rejects_empty_subdomains_before_any_cell(monkeypatch):
+    from helmdd import harness as harness_mod
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness_mod, "_run_cell", no_cell)
+    cfg = ExperimentConfig(
+        problem="MP1", k_list=(1,), n_list=(9,), coarse_ratio=1, coarse_kinds=("FOCS",)
+    )
+    with pytest.raises(ConfigError, match="subdomains empty"):
         run_experiment(cfg, warn=lambda m: None)
 
 
@@ -381,6 +406,14 @@ class TestCli:
         path.write_text("problem = MP1\nk = 5\nn = 34\ncoarse_ratio = 4\n")
         rc = cli.main(["run", str(path)])
         assert rc == 2
+
+    def test_run_rejects_non_finite_rtol(self, tiny_config, tmp_path, capsys):
+        for rtol in ("inf", "nan"):
+            out = tmp_path / f"{rtol}.csv"
+            rc = cli.main(["run", str(tiny_config), "--out", str(out), "--rtol", rtol])
+            assert rc == 2
+            assert not out.exists()
+            assert "relative tolerance" in capsys.readouterr().err
 
     def test_validate_reports_regime(self, tiny_config, capsys):
         rc = cli.main(["validate", str(tiny_config)])

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -22,3 +23,19 @@ def test_benchmark_tracer_targets_exist():
     assert targets
     for owner, attr, name, _ in targets:
         assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr} is missing"
+
+
+def test_every_import_is_used():
+    """Each name a helmdd module (other than __init__) imports is used in it."""
+    for path in sorted(Path(helmdd.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"

@@ -160,12 +160,11 @@ def test_subdomain_order_independence(kind):
     rng = np.random.default_rng(6)
     perm = rng.permutation(dec.num_subdomains)
     sets = np.split(dec.indices, dec.offsets[1:-1])
-    weights = np.split(dec.weights, dec.offsets[1:-1])
+    # the multiplicity, and with it every D_i, does not depend on the order
     shuffled = dreplace(
         dec,
         indices=np.concatenate([sets[i] for i in perm]),
         offsets=np.concatenate(([0], np.cumsum(np.diff(dec.offsets)[perm]))),
-        weights=np.concatenate([weights[i] for i in perm]),
     )
     x = rng.standard_normal(prob.A.shape[0])
     a = SchwarzPreconditioner(kind, prob.A, dec, cs).apply(x)
