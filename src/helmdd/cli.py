@@ -7,7 +7,7 @@
 
 Warnings go to stderr; the CSV lands at --out (or the config's out entry).
 Exit code is 0 when the sweep completes, even if some cells did not
-converge; nonzero only for structural errors.
+converge; 2 for structural errors and output paths that cannot be written.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ def _drop_k_above(cfg: harness.ExperimentConfig, max_k: float) -> harness.Experi
 
 
 def _run(cfg: harness.ExperimentConfig, default_out: str) -> int:
+    out = Path(cfg.out or default_out)
+    if out.is_dir():
+        raise IsADirectoryError(f"output path {out} is a directory")
     rows = harness.run_experiment(cfg)
-    out = cfg.out or default_out
     path = harness.emit_csv(rows, out)
     nonconverged = sum(1 for r in rows for v in r.iterations.values() if v == "x")
     print(f"wrote {len(rows)} rows to {path}" + (f" ({nonconverged} nonconverged cells)" if nonconverged else ""))
@@ -99,7 +101,7 @@ def main(argv=None) -> int:
         if args.max_k is not None:
             cfg = _drop_k_above(cfg, args.max_k)
         return _run(cfg, default_out=f"table{args.which}.csv")
-    except (harness.ConfigError, FileNotFoundError, ValueError) as exc:
+    except (harness.ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,37 +19,31 @@ grids the unknown set at every level consists of the interior nodes, so
 coarse basis functions attached to boundary coarse nodes are excluded,
 mirroring the fine-grid convention.
 
-The coarse matrix A_0 = R_0 A R_0^T is built sparsely and factorized once;
-coarse_correct applies R_0^T A_0^{-1} R_0.  Note the preconditioners built
-on top are invariant under any invertible rescaling of R_0 (it cancels in
-R_0^T (R_0 A R_0^T)^{-1} R_0), so the stencil normalization is immaterial.
-galerkin stores R_0 in the scalar type of A, so the applies multiply it
-with vectors of that type without converting it each time.
+galerkin picks its path from the type of its second argument.  For a
+HelmholtzProblem, A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble)
+and R_0 = P(x)P make A_0 the same Kronecker sum of T_0 = P T P^T and
+W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker);
+coarse_correct applies R_0 and R_0^T as P X P^T and P^T Y P on the grid
+vector reshaped to a square.  The sparse A_0 is assembled from (T_0, W_0)
+for inspection only.  For a bare matrix A, A_0 = R_0 A R_0^T is formed
+sparsely, checked for symmetry and LU-factorized; this is the reference the
+structured path is tested against.
 
-A_0 is a stencil matrix on the row-major grid of coarse unknowns
-(coarse_nodes_per_dim - 2 per side under Dirichlet, coarse_nodes_per_dim
-under Sommerfeld).  Its radius r is the largest |dx| or |dy| between two
-coupled unknowns, read off A_0's sparsity pattern: 1 for FOCS (9 points),
-3 for HOCS at ratio 4 (about 47 nonzeros per row).  For r >= 2 the LU
-follows a geometric nested-dissection order (A. George, "Nested dissection
-of a regular finite element mesh", SIAM J. Numer. Anal. 10, 1973): split
-the grid across its longer side by a separator w = r + 1 unknowns wide,
-which leaves no coupling between the two halves, order the halves
-recursively and number the separator after them; boxes no wider than
-2w + 1 are numbered row by row.  FOCS (r = 1) keeps SuperLU's COLAMD
-ordering.
+The preconditioners built on top are invariant under any invertible
+rescaling of R_0 or P (it cancels in R_0^T (R_0 A R_0^T)^{-1} R_0), so the
+stencil normalization is immaterial.  For a bare matrix galerkin casts R_0
+to A's scalar type once, not at every apply.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .discretization import Grid
+from .discretization import Grid, HelmholtzProblem, kronecker_sum
 
 COARSE_KINDS = ("FOCS", "HOCS")
 
@@ -63,14 +57,15 @@ _SYMMETRY_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class CoarseSpace:
-    """Coarse restriction R_0 plus (after galerkin) the factorized A_0."""
+    """Coarse restriction R_0 = P(x)P, its 1D factor P and, after galerkin, A_0 factorized."""
 
     kind: str
     grid: Grid
     ratio: int
     r0: sp.csr_matrix
+    p: sp.csr_matrix
     a0: sp.csr_matrix | None = None
-    a0_factorization: linalg.SparseFactorization | None = None
+    a0_factorization: linalg.SparseFactorization | linalg.KroneckerFactorization | None = None
 
     @property
     def coarse_nodes_per_dim(self) -> int:
@@ -120,65 +115,24 @@ def build_focs(grid: Grid, ratio: int) -> CoarseSpace:
     _check_ratio(grid, ratio, powers_of_two=False)
     taps = 1.0 - np.abs(np.arange(1 - ratio, ratio)) / ratio
     P = _restriction_1d(grid, taps, ratio, 1)
-    return CoarseSpace(kind="FOCS", grid=grid, ratio=ratio, r0=_tensor_square(P))
+    return CoarseSpace(kind="FOCS", grid=grid, ratio=ratio, r0=_tensor_square(P), p=P)
 
 
 def build_hocs(grid: Grid, ratio: int) -> CoarseSpace:
     """Higher-order Bezier coarse space with H = ratio * h (ratio in 2,4,8,16)."""
     _check_ratio(grid, ratio, powers_of_two=True)
     P = _restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio)))
-    return CoarseSpace(kind="HOCS", grid=grid, ratio=ratio, r0=_tensor_square(P))
+    return CoarseSpace(kind="HOCS", grid=grid, ratio=ratio, r0=_tensor_square(P), p=P)
 
 
-def _bisect(box, w: int):
-    """Split box = (x0, x1, y0, y1) across its longer side into two halves and
-    the w-wide separator between them: (first, second, separator), or None
-    when the box is no wider than 2w + 1."""
-    x0, x1, y0, y1 = box
-    if max(x1 - x0, y1 - y0) <= 2 * w + 1:
-        return None
-    if x1 - x0 >= y1 - y0:
-        s = x0 + (x1 - x0 - w) // 2
-        return (x0, s, y0, y1), (s + w, x1, y0, y1), (s, s + w, y0, y1)
-    s = y0 + (y1 - y0 - w) // 2
-    return (x0, x1, y0, s), (x0, x1, s + w, y1), (x0, x1, s, s + w)
-
-
-def _nested_dissection(m: int, w: int) -> np.ndarray:
-    """Nested-dissection order of an m-by-m row-major grid with w-wide
-    separators, which decouple the halves of any stencil of radius <= w."""
-    parts = []
-
-    def row_by_row(box):
-        x0, x1, y0, y1 = box
-        parts.append((np.arange(y0, y1)[:, None] * m + np.arange(x0, x1)).ravel())
-
-    def number(box):
-        split = _bisect(box, w)
-        if split is None:
-            row_by_row(box)
-            return
-        first, second, separator = split
-        number(first)
-        number(second)
-        row_by_row(separator)
-
-    number((0, m, 0, m))
-    return np.concatenate(parts)
-
-
-def _stencil_radius(a0: sp.csr_matrix, m: int) -> int:
-    """Largest |dx| or |dy| between coupled unknowns of an m-by-m grid matrix."""
-    coo = a0.tocoo()
-    dx = np.abs(coo.row % m - coo.col % m)
-    dy = np.abs(coo.row // m - coo.col // m)
-    return int(max(dx.max(initial=0), dy.max(initial=0)))
-
-
-def galerkin(cs: CoarseSpace, A: sp.csr_matrix) -> CoarseSpace:
-    """Attach R_0 cast to A's scalar type and the factorized Galerkin matrix
-    A_0 = R_0 A R_0^T, in nested-dissection order when its stencil radius
-    is 2 or more."""
+def galerkin(cs: CoarseSpace, A: HelmholtzProblem | sp.csr_matrix) -> CoarseSpace:
+    """Attach A_0 = R_0 A R_0^T and its factorization: the Kronecker eigenbasis
+    for a HelmholtzProblem, the sparse LU (and R_0 cast to A's type) for a matrix."""
+    if isinstance(A, HelmholtzProblem):  # a mismatched P fails in the products
+        T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (A.T, A.W))
+        T0, W0 = (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
+        a0 = kronecker_sum(T0, W0, A.k)
+        return replace(cs, a0=a0, a0_factorization=linalg.factorize_kronecker(T0, W0, A.k))
     if cs.r0.shape[1] != A.shape[0]:
         raise ValueError(
             f"coarse operator expects {cs.r0.shape[1]} fine unknowns, matrix has {A.shape[0]}"
@@ -190,18 +144,16 @@ def galerkin(cs: CoarseSpace, A: sp.csr_matrix) -> CoarseSpace:
         raise ValueError("Galerkin product lost symmetry; A is not symmetric")
     a0 = ((B + B.T) * 0.5).tocsr()
     a0.sort_indices()
-    side = math.isqrt(r0.shape[0])
-    radius = _stencil_radius(a0, side)
-    # Separators one wider than the radius: under partial pivoting a
-    # separator row pivoted into a half's elimination brings its couplings
-    # along.  Measured on the HOCS matrices for k = 20..120, r + 1 kept the
-    # fill at 0.76-0.98x COLAMD's, where r gave up to 1.8x.
-    order = _nested_dissection(side, radius + 1) if radius >= 2 else None
-    return replace(cs, r0=r0, a0=a0, a0_factorization=linalg.factorize(a0, order))
+    return replace(cs, r0=r0, a0=a0, a0_factorization=linalg.factorize(a0))
 
 
 def coarse_correct(cs: CoarseSpace, r: np.ndarray) -> np.ndarray:
     """Apply the coarse-level correction R_0^T A_0^{-1} R_0 to a fine vector."""
     if cs.a0_factorization is None:
         raise ValueError("coarse matrix not factorized; call galerkin() first")
-    return cs.r0.T @ linalg.solve(cs.a0_factorization, cs.r0 @ r)
+    if isinstance(cs.a0_factorization, linalg.SparseFactorization):
+        return cs.r0.T @ linalg.solve(cs.a0_factorization, cs.r0 @ r)
+    p, m = cs.p, cs.p.shape[1]
+    # on row-major grid arrays R_0 x is P X P^T and R_0^T y is P^T Y P
+    Y = cs.a0_factorization.solve((p @ (p @ r.reshape(m, m)).T).T)
+    return (p.T @ (p.T @ Y).T).T.ravel()

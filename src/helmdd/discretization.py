@@ -88,11 +88,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class HelmholtzProblem:
+    """System matrix A = T(x)W + W(x)T - k^2 W(x)W, its 1D factors and the load f."""
+
     grid: Grid
     k: float
     problem: str
     A: sp.csr_matrix
     f: np.ndarray
+    T: sp.csr_matrix
+    W: sp.dia_matrix
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,13 @@ def regime(k: float, h: float, H: float) -> RegimeReport:
     return RegimeReport(kappa_h=k * h, kappa_H=k * H, pollution_metric=k**3 * h**2)
 
 
+def kronecker_sum(T, W, k: float) -> sp.csr_matrix:
+    """T(x)W + W(x)T - k^2 W(x)W of the 1D factors T and W, as sorted CSR."""
+    A = sp.csr_matrix(sp.kron(T, W) + sp.kron(W, T) - k**2 * sp.kron(W, W))
+    A.sort_indices()
+    return A
+
+
 def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     """Assemble the system matrix and point-source load vector.
 
@@ -155,13 +166,12 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
         weights[[0, -1]] = 0.5
     off = np.full(m - 1, -1.0 / h**2)
     T, W = sp.diags([off, diagonal, off], [-1, 0, 1], format="csr"), sp.diags(weights)
-    A = sp.csr_matrix(sp.kron(T, W) + sp.kron(W, T) - k**2 * sp.kron(W, W))
-    A.sort_indices()
+    A = kronecker_sum(T, W, k)
     f = np.zeros(grid.num_unknowns, dtype=A.dtype)
     # node nearest (1/2, 1/2); exact center for odd n
     c = (n - 1) // 2
     f[grid.unknown_index(c, c)] = 1.0 / h**2
-    return HelmholtzProblem(grid=grid, k=k, problem=problem, A=A, f=f)
+    return HelmholtzProblem(grid=grid, k=k, problem=problem, A=A, f=f, T=T, W=W)
 
 
 def analytical_mp1(k: float, point, truncation: int = 400):

@@ -9,12 +9,13 @@ kind.  Nonconverged solves are reported with the literal 'x' in place of
 the iteration count.  Reruns of the same configuration at a fixed BLAS
 thread count produce identical counts; only the timing columns vary.  Cells
 whose residual stagnates near the tolerance (FOCS on MP1, or kappa_H > 1)
-move by 1 or 2 iterations, or across the cap, under any change of
-rounding, a change of BLAS thread count included.  Tables 1-4 to k = 100
-run with one OpenBLAS thread instead of two move 7 of their 235 counts, all
-in such cells: table 2's k = 80 FOCS/SHS2 cell reads 51 instead of 53, and
-its k = 80 FOCS/SAS2 cell converges in 100 iterations instead of missing
-the cap.  No HOCS cell with kappa_H <= 1 moves.
+move by a few iterations, or across the cap, under any change of rounding.
+Of the 235 counts of tables 1-4 to k = 100, 7 move with one OpenBLAS thread
+instead of two; 15 moved when the coarse solve left sparse LU for the
+Kronecker eigenbasis: table 2's FOCS cells at k = 60 (AS2, SAS2), 80 (SAS2,
+SHS2) and 100 (SHS2), table 3's k = 40 cells at n = 41, 49, 57 and table
+4's (k, n) = (15, 81), (25, 113), (25, 177), (30, 81), (30, 113), (30, 129),
+(30, 193).  No HOCS cell with kappa_H <= 1 moves.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def _parse_scalar(text: str):
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a flat key = value config file; lists are comma-separated."""
-    values = {}
+    """Read a flat key = value config file; keys are unique, lists comma-separated."""
+    values, set_on = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,7 +102,10 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first on line {set_on[key]})")
+        values[key], set_on[key] = val.strip(), lineno
     return config_from_dict(values, origin=str(path))
 
 
@@ -254,7 +258,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     )
     builders = {"FOCS": build_focs, "HOCS": build_hocs}
     spaces = {
-        ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob.A) for ck in cfg.coarse_kinds
+        ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds
     }
     setup_seconds = time.perf_counter() - t0
 

@@ -1,13 +1,15 @@
-"""Sparse direct factorization.
+"""Direct solvers: sparse LU and the eigenbasis of a Kronecker sum.
 
 Matrices are scipy CSR/CSC matrices over float64 or complex128; the same
 code path serves both scalar kinds. Factorization is SuperLU (LU with
-partial pivoting on a fill-reducing column ordering), which handles the
+partial pivoting on SuperLU's COLAMD column ordering), which handles the
 indefinite symmetric systems produced by the discretization, where a
-Cholesky factorization would fail.  The column ordering is SuperLU's
-COLAMD unless the caller passes a symmetric permutation of its own (the
-coarse module passes a nested-dissection order for wide stencils); the
-factorization then keeps that order and solve undoes it.
+Cholesky factorization would fail.
+
+A Kronecker sum A_0 = T(x)W + W(x)T - k^2 W(x)W of small symmetric 1D
+factors is solved by fast diagonalization (Lynch, Rice & Thomas, Numer.
+Math. 6, 1964): with T Q = W Q Lambda and V = (W Q)^{-1},
+A_0^{-1} = (Q(x)Q) D^{-1} (V(x)V), D_ij = lambda_i + lambda_j - k^2.
 """
 
 from __future__ import annotations
@@ -15,12 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-# Pivots below this fraction of the largest matrix entry are treated as a
-# singular factorization (typically a coarse problem at a resonance).
+# Pivots below this fraction of the largest matrix entry, and eigenvalue sums
+# D_ij below it times max |D|, are treated as singular (a resonant coarse problem).
 PIVOT_RTOL = 1e-14
+
+# Largest accepted 2-norm cond(Q); the solve loses about 2 log10(cond(Q)) digits.
+# The 207 coarse problems of tables 1-4 (k <= 200) give cond(Q) = 1.0-30.7.
+EIGENVECTOR_COND_LIMIT = 1e8
 
 
 class SingularMatrixError(ValueError):
@@ -33,19 +40,14 @@ class SparseFactorization:
 
     lu: SuperLU
     n: int
-    order: np.ndarray | None = None  # the factors are of A[order][:, order]
 
     @property
     def fill_nnz(self) -> int:
         return self.lu.L.nnz + self.lu.U.nnz
 
 
-def factorize(A, order=None) -> SparseFactorization:
-    """LU-factorize a square sparse matrix.
-
-    With order=None SuperLU picks a COLAMD column ordering.  Otherwise
-    A[order][:, order] is factorized in its natural order, so the elimination
-    follows order; SuperLU's partial pivoting is kept either way.
+def factorize(A) -> SparseFactorization:
+    """LU-factorize a square sparse matrix in SuperLU's COLAMD order.
 
     Raises SingularMatrixError when a pivot falls below PIVOT_RTOL times
     the largest entry of A; near-singular coarse matrices are surfaced
@@ -59,7 +61,7 @@ def factorize(A, order=None) -> SparseFactorization:
     if scale == 0.0:
         raise SingularMatrixError("matrix has no nonzero entries")
     try:
-        lu = splu(A) if order is None else splu(A[order][:, order], permc_spec="NATURAL")
+        lu = splu(A)
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
         raise SingularMatrixError(str(exc)) from exc
     pivots = np.abs(lu.U.diagonal())
@@ -67,7 +69,7 @@ def factorize(A, order=None) -> SparseFactorization:
         raise SingularMatrixError(
             f"near-zero pivot {pivots.min():.3e} (matrix scale {scale:.3e})"
         )
-    return SparseFactorization(lu=lu, n=A.shape[0], order=order)
+    return SparseFactorization(lu=lu, n=A.shape[0])
 
 
 def solve(F: SparseFactorization, b: np.ndarray) -> np.ndarray:
@@ -75,9 +77,37 @@ def solve(F: SparseFactorization, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.shape[0] != F.n:
         raise ValueError(f"dimension mismatch: factorization is {F.n}, vector has length {b.shape[0]}")
-    if F.order is None:
-        return F.lu.solve(b)
-    y = F.lu.solve(b[F.order])
-    x = np.empty_like(y)
-    x[F.order] = y
-    return x
+    return F.lu.solve(b)
+
+
+@dataclass(frozen=True)
+class KroneckerFactorization:
+    """Eigenbasis of T(x)W + W(x)T - k^2 W(x)W: T Q = W Q diag(lambda), V = (W Q)^{-1}."""
+
+    q: np.ndarray
+    v: np.ndarray
+    d: np.ndarray  # d[i, j] = lambda_i + lambda_j - k^2
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """Solve A_0 vec(X) = vec(B) for an m-by-m grid array B (row-major vec)."""
+        return self.q @ ((self.v @ B @ self.v.T) / self.d) @ self.q.T
+
+
+def factorize_kronecker(T, W, k: float) -> KroneckerFactorization:
+    """Diagonalize the Kronecker sum of dense symmetric T and real positive definite W.
+
+    Raises SingularMatrixError when cond(Q) exceeds EIGENVECTOR_COND_LIMIT
+    or some |D_ij| falls below PIVOT_RTOL times max |D| (resonant mode (i, j)).
+    """
+    lam, q = (scipy.linalg.eig if np.iscomplexobj(T) else scipy.linalg.eigh)(T, W)
+    cond = np.linalg.cond(q)
+    if not cond <= EIGENVECTOR_COND_LIMIT:
+        raise SingularMatrixError(f"eigenvector matrix has condition number {cond:.3e}")
+    d = lam[:, None] + lam[None, :] - k * k
+    size = np.abs(d) / np.abs(d).max()
+    i, j = np.unravel_index(np.argmin(size), d.shape)
+    if size[i, j] < PIVOT_RTOL:
+        raise SingularMatrixError(f"resonant coarse mode (i, j) = ({i}, {j})")
+    # not Q^T: eig's vectors of MP2's near-equal boundary-mode eigenvalues miss Q^T W Q = I
+    return KroneckerFactorization(q=q, v=np.linalg.inv(W @ q), d=d)
+

@@ -2,16 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
 
+from helmdd import linalg
 from helmdd.coarse import (
     _BEZIER_TAPS,
-    _bisect,
-    _nested_dissection,
     _restriction_1d,
     build_focs,
     build_hocs,
@@ -174,6 +173,8 @@ class TestGalerkin:
         cs = build_focs(Grid(9, "sommerfeld"), 2)
         with pytest.raises(ValueError):
             galerkin(cs, sp.identity(7, format="csr"))
+        with pytest.raises(ValueError):
+            galerkin(cs, assemble(Grid(7, "sommerfeld"), 2.0, "MP2"))
 
 
 class TestCoarseCorrect:
@@ -230,88 +231,6 @@ def test_galerkin_casts_r0_to_the_matrix_type(problem):
     assert np.array_equal(got, built.r0.T @ solve(cs.a0_factorization, built.r0 @ r))
 
 
-def stencil_matrix(m, r):
-    """Pattern of a radius-r (2r+1)^2-point stencil on an m-by-m row-major grid."""
-    offsets = range(-min(r, m - 1), min(r, m - 1) + 1)
-    band = sp.diags([np.ones(m - abs(d)) for d in offsets], list(offsets))
-    return sp.kron(band, band, format="csr")
-
-
-def box_nodes(m, box):
-    x0, x1, y0, y1 = box
-    return (np.arange(y0, y1)[:, None] * m + np.arange(x0, x1)).ravel()
-
-
-@settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 60), r=st.sampled_from([1, 2, 3]))
-def test_nested_dissection_separators_decouple_their_halves(m, r):
-    order = _nested_dissection(m, r)
-    assert np.array_equal(np.sort(order), np.arange(m * m))
-    position = np.empty(m * m, dtype=int)
-    position[order] = np.arange(m * m)
-    A = stencil_matrix(m, r)
-    boxes = [(0, m, 0, m)]
-    while boxes:
-        box = boxes.pop()
-        split = _bisect(box, r)
-        if split is None:
-            assert max(box[1] - box[0], box[3] - box[2]) <= 2 * r + 1
-            continue
-        first, second, separator = (box_nodes(m, b) for b in split)
-        assert len(first) and len(second)
-        assert len(first) + len(second) + len(separator) == len(box_nodes(m, box))
-        assert A[first][:, second].nnz == 0
-        # each separator is numbered after both halves it divides
-        assert max(position[first].max(), position[second].max()) < position[separator].min()
-        boxes += split[:2]
-
-
-def hocs_coarse_space(problem, k):
-    n = 4 * k + 1
-    g = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
-    return galerkin(build_hocs(g, 4), assemble(g, k, problem).A)
-
-
-@pytest.mark.parametrize("k", [20, 40])
-@pytest.mark.parametrize("problem", ["MP1", "MP2"])
-def test_nested_dissection_factorization_matches_colamd(problem, k):
-    cs = hocs_coarse_space(problem, k)
-    F = cs.a0_factorization
-    assert F.order is not None
-    colamd = splu(cs.a0.tocsc())
-    rng = np.random.default_rng(k)
-    b = random_vector(rng, cs.a0.shape[0], cs.a0.dtype)
-
-    def residual(x):
-        return np.linalg.norm(cs.a0 @ x - b) / np.linalg.norm(b)
-
-    nd_residual = residual(solve(F, b))
-    assert nd_residual <= 1e-12
-    assert nd_residual <= 10 * residual(colamd.solve(b))
-    assert F.fill_nnz <= 1.1 * (colamd.L.nnz + colamd.U.nnz)
-
-
-def test_focs_coarse_matrix_keeps_colamd():
-    g = Grid(81, "dirichlet")
-    cs = galerkin(build_focs(g, 4), assemble(g, 20, "MP1").A)
-    assert cs.a0_factorization.order is None
-
-
-@pytest.mark.parametrize("defect", ["zero row and column", "repeated row"])
-def test_nested_dissection_factorization_rejects_singular(defect):
-    cs = hocs_coarse_space("MP1", 20)
-    order = cs.a0_factorization.order
-    a0 = cs.a0.tolil()
-    c = a0.shape[0] // 2
-    if defect == "zero row and column":
-        a0[c, :] = 0.0
-        a0[:, c] = 0.0
-    else:
-        a0[c, :] = a0[c + 1, :]
-    with pytest.raises(SingularMatrixError):
-        factorize(a0.tocsr(), order)
-
-
 def test_rescaled_operator_gives_same_correction():
     g = Grid(17, "dirichlet")
     prob = assemble(g, 5.0, "MP1")
@@ -321,3 +240,64 @@ def test_rescaled_operator_gives_same_correction():
     r = rng.standard_normal(g.num_unknowns)
     a, b = coarse_correct(cs, r), coarse_correct(scaled, r)
     assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
+
+
+def test_rescaled_p_gives_same_correction():
+    g = Grid(17, "dirichlet")
+    prob = assemble(g, 5.0, "MP1")
+    cs = galerkin(build_hocs(g, 4), prob)
+    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0=None, a0_factorization=None), prob)
+    rng = np.random.default_rng(9)
+    r = rng.standard_normal(g.num_unknowns)
+    a, b = coarse_correct(cs, r), coarse_correct(scaled, r)
+    assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
+
+
+@st.composite
+def coarse_cells(draw):
+    """(problem, kind, ratio, n, k) with n = ratio * cells + 1 <= 129 and, for
+    MP1, odd n and a coarse grid with an interior node."""
+    problem = draw(st.sampled_from(["MP1", "MP2"]))
+    kind = draw(st.sampled_from(["FOCS", "HOCS"]))
+    ratio = draw(st.sampled_from([1, 2, 4, 8, 16] if kind == "HOCS" else list(range(1, 17))))
+    cells = draw(st.integers(2, 128 // ratio))
+    if problem == "MP1" and ratio * cells % 2:
+        cells -= 1
+    n = ratio * cells + 1
+    k = draw(st.floats(0.5, 60.0))
+    return problem, kind, ratio, n, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=coarse_cells(), seed=st.integers(0, 2**32 - 1))
+def test_kronecker_path_matches_sparse_lu(cell, seed):
+    problem, kind, ratio, n, k = cell
+    g = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
+    prob = assemble(g, k, problem)
+    built = (build_focs if kind == "FOCS" else build_hocs)(g, ratio)
+    generic, structured = galerkin(built, prob.A), galerkin(built, prob)
+    assert isinstance(structured.a0_factorization, linalg.KroneckerFactorization)
+    scale = abs(generic.a0).max()
+    assert abs(structured.a0 - generic.a0).max() <= 1e-12 * scale
+    r = random_vector(np.random.default_rng(seed), g.num_unknowns, prob.A.dtype)
+    a, b = coarse_correct(generic, r), coarse_correct(structured, r)
+    assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 3), (4, 2)])
+def test_resonant_coarse_mode_is_named(i, j):
+    g = Grid(33, "dirichlet")
+    built = build_hocs(g, 4)
+    P, T = built.p.toarray(), assemble(g, 1.0, "MP1").T.toarray()
+    lam = scipy.linalg.eigvalsh(P @ T @ P.T, P @ P.T)  # MP1's T and W = I do not depend on k
+    prob = assemble(g, float(np.sqrt(lam[i] + lam[j])), "MP1")
+    with pytest.raises(SingularMatrixError, match=rf"\({min(i, j)}, {max(i, j)}\)"):
+        galerkin(built, prob)
+
+
+def test_ill_conditioned_eigenvectors_are_rejected(monkeypatch):
+    g = Grid(33, "sommerfeld")
+    prob = assemble(g, 8.0, "MP2")
+    monkeypatch.setattr(linalg, "EIGENVECTOR_COND_LIMIT", 1.0)
+    with pytest.raises(SingularMatrixError, match="condition number"):
+        galerkin(build_hocs(g, 4), prob)

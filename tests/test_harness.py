@@ -82,6 +82,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(path)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("problem = MP1\nk = 5\nn = 9\n# again\nK = 10\n")
+        with pytest.raises(ConfigError, match=r"dup.cfg:5: duplicate key 'k' \(first on line 2\)"):
+            parse_config(path)
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -414,6 +420,24 @@ class TestCli:
             assert rc == 2
             assert not out.exists()
             assert "relative tolerance" in capsys.readouterr().err
+
+    def test_run_rejects_directory_out_before_any_cell(self, tiny_config, tmp_path, monkeypatch, capsys):
+        from helmdd import harness as harness_mod
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness_mod, "_run_cell", no_cell)
+        rc = cli.main(["run", str(tiny_config), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_run_unwritable_out_exits_two(self, tiny_config, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        rc = cli.main(["run", str(tiny_config), "--out", str(blocker / "out.csv")])
+        assert rc == 2
+        assert "blocker" in capsys.readouterr().err
 
     def test_validate_reports_regime(self, tiny_config, capsys):
         rc = cli.main(["validate", str(tiny_config)])

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import math
 from pathlib import Path
 
 import helmdd
@@ -13,16 +14,42 @@ def test_star_import_resolves_every_export():
         assert namespace[name] is getattr(helmdd, name)
 
 
-def test_benchmark_tracer_targets_exist():
-    """Every name the benchmark's tracer wraps is an attribute of its owner."""
+def load_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    targets = spans.targets(helmdd, full=True)
+    return spans
+
+
+def test_benchmark_tracer_targets_exist():
+    """Every name the benchmark's tracer wraps is an attribute of its owner."""
+    targets = load_spans().targets(helmdd, full=True)
     assert targets
     for owner, attr, name, _ in targets:
         assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr} is missing"
+
+
+def test_benchmark_traced_run_reports_every_layer():
+    """A fully traced run yields finite layer metrics and the untraced counts."""
+    spans = load_spans()
+    cfg = helmdd.ExperimentConfig(
+        problem="MP2",
+        k_list=(20,),
+        n_list=(81,),
+        coarse_kinds=("FOCS", "HOCS"),
+        preconditioners=("SHS2",),
+        gmres=helmdd.GmresConfig(side="left"),
+    )
+    untraced = helmdd.run_experiment(cfg)
+    with spans.Tracer().installed(spans.targets(helmdd, full=True)) as tracer:
+        traced = helmdd.run_experiment(cfg)
+    metrics = tracer.table().layer_metrics()
+    assert all(math.isfinite(v) for v in metrics.values()), metrics
+    assert metrics["harness.cells"] == 1
+    assert metrics["coarse.a0_nnz"] > 0
+    assert metrics["gmres.iterations"] == sum(untraced[0].iterations.values())
+    assert [r.iterations for r in traced] == [r.iterations for r in untraced]
 
 
 def test_every_import_is_used():
