@@ -13,26 +13,25 @@ Two coarse spaces on the coarse grid with spacing H = ratio * h:
 Both come from one 1D builder that centers a tap vector at every step-th
 node of a line and composes levels: FOCS passes the hat taps 1 - |d|/r at
 step r for one level, HOCS the Bezier taps at step 2 for log2(r) levels.
-R_0 is the tensor product P(x)P of the 1D operator P with itself.  Stencil
-taps falling outside the line are dropped (zero padding).  On Dirichlet
-grids the unknown set at every level consists of the interior nodes, so
-coarse basis functions attached to boundary coarse nodes are excluded,
-mirroring the fine-grid convention.
+A CoarseSpace stores only this 1D operator P; R_0 = P(x)P is derived from
+it on demand.  Stencil taps falling outside the line are dropped (zero
+padding).  On Dirichlet grids the unknown set at every level consists of
+the interior nodes, so coarse basis functions attached to boundary coarse
+nodes are excluded, mirroring the fine-grid convention.
 
-galerkin picks its path from the type of its second argument.  For a
-HelmholtzProblem, A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble)
+galerkin picks the coarse solve from the type of its second argument.  For
+a HelmholtzProblem, A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble)
 and R_0 = P(x)P make A_0 the same Kronecker sum of T_0 = P T P^T and
-W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker);
-coarse_correct applies R_0 and R_0^T as P X P^T and P^T Y P on the grid
-vector reshaped to a square.  The sparse A_0 is assembled from (T_0, W_0)
-for inspection only.  For a bare matrix A, A_0 = R_0 A R_0^T is formed
-sparsely, checked for symmetry and LU-factorized; this is the reference the
-structured path is tested against.
+W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker).
+The sparse A_0 is assembled from (T_0, W_0) for inspection only.  For a
+bare matrix A, R_0 and A_0 = R_0 A R_0^T are formed sparsely, A_0 checked
+for symmetry and LU-factorized; this is the reference the structured path
+is tested against.  For either solve coarse_correct applies R_0 and R_0^T
+as P X P^T and P^T Y P on the grid vector reshaped to a square.
 
 The preconditioners built on top are invariant under any invertible
 rescaling of R_0 or P (it cancels in R_0^T (R_0 A R_0^T)^{-1} R_0), so the
-stencil normalization is immaterial.  For a bare matrix galerkin casts R_0
-to A's scalar type once, not at every apply.
+stencil normalization is immaterial.
 """
 
 from __future__ import annotations
@@ -57,15 +56,21 @@ _SYMMETRY_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class CoarseSpace:
-    """Coarse restriction R_0 = P(x)P, its 1D factor P and, after galerkin, A_0 factorized."""
+    """Coarse space by its 1D restriction P (R_0 = P(x)P) and, after galerkin, A_0 factorized."""
 
     kind: str
     grid: Grid
     ratio: int
-    r0: sp.csr_matrix
     p: sp.csr_matrix
     a0: sp.csr_matrix | None = None
     a0_factorization: linalg.SparseFactorization | linalg.KroneckerFactorization | None = None
+
+    @property
+    def r0(self) -> sp.csr_matrix:
+        """The 2D restriction R_0 = P(x)P, formed anew on every access."""
+        r0 = sp.kron(self.p, self.p, format="csr")
+        r0.sort_indices()
+        return r0
 
     @property
     def coarse_nodes_per_dim(self) -> int:
@@ -104,56 +109,54 @@ def _restriction_1d(grid: Grid, taps: np.ndarray, step: int, levels: int) -> sp.
     return op
 
 
-def _tensor_square(P1: sp.csr_matrix) -> sp.csr_matrix:
-    R0 = sp.kron(P1, P1, format="csr")
-    R0.sort_indices()
-    return R0
-
-
 def build_focs(grid: Grid, ratio: int) -> CoarseSpace:
     """Linear (bilinear hat) coarse space with H = ratio * h."""
     _check_ratio(grid, ratio, powers_of_two=False)
     taps = 1.0 - np.abs(np.arange(1 - ratio, ratio)) / ratio
     P = _restriction_1d(grid, taps, ratio, 1)
-    return CoarseSpace(kind="FOCS", grid=grid, ratio=ratio, r0=_tensor_square(P), p=P)
+    return CoarseSpace(kind="FOCS", grid=grid, ratio=ratio, p=P)
 
 
 def build_hocs(grid: Grid, ratio: int) -> CoarseSpace:
     """Higher-order Bezier coarse space with H = ratio * h (ratio in 2,4,8,16)."""
     _check_ratio(grid, ratio, powers_of_two=True)
     P = _restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio)))
-    return CoarseSpace(kind="HOCS", grid=grid, ratio=ratio, r0=_tensor_square(P), p=P)
+    return CoarseSpace(kind="HOCS", grid=grid, ratio=ratio, p=P)
 
 
 def galerkin(cs: CoarseSpace, A: HelmholtzProblem | sp.csr_matrix) -> CoarseSpace:
     """Attach A_0 = R_0 A R_0^T and its factorization: the Kronecker eigenbasis
-    for a HelmholtzProblem, the sparse LU (and R_0 cast to A's type) for a matrix."""
-    if isinstance(A, HelmholtzProblem):  # a mismatched P fails in the products
+    for a HelmholtzProblem, the sparse LU of the explicit product for a matrix."""
+    if isinstance(A, HelmholtzProblem):
+        if A.grid != cs.grid:
+            raise ValueError(f"coarse space is built on {cs.grid}, problem on {A.grid}")
         T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (A.T, A.W))
         T0, W0 = (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
         a0 = kronecker_sum(T0, W0, A.k)
         return replace(cs, a0=a0, a0_factorization=linalg.factorize_kronecker(T0, W0, A.k))
-    if cs.r0.shape[1] != A.shape[0]:
+    r0 = cs.r0
+    if r0.shape[1] != A.shape[0]:
         raise ValueError(
-            f"coarse operator expects {cs.r0.shape[1]} fine unknowns, matrix has {A.shape[0]}"
+            f"coarse operator expects {r0.shape[1]} fine unknowns, matrix has {A.shape[0]}"
         )
-    r0 = cs.r0.astype(A.dtype)
     B = sp.csr_matrix(r0 @ A @ r0.T)
     skew = abs(B - B.T)
     if skew.nnz and skew.max() > _SYMMETRY_GUARD * max(abs(B).max(), 1e-300):
         raise ValueError("Galerkin product lost symmetry; A is not symmetric")
     a0 = ((B + B.T) * 0.5).tocsr()
     a0.sort_indices()
-    return replace(cs, r0=r0, a0=a0, a0_factorization=linalg.factorize(a0))
+    return replace(cs, a0=a0, a0_factorization=linalg.factorize(a0))
 
 
 def coarse_correct(cs: CoarseSpace, r: np.ndarray) -> np.ndarray:
     """Apply the coarse-level correction R_0^T A_0^{-1} R_0 to a fine vector."""
     if cs.a0_factorization is None:
         raise ValueError("coarse matrix not factorized; call galerkin() first")
-    if isinstance(cs.a0_factorization, linalg.SparseFactorization):
-        return cs.r0.T @ linalg.solve(cs.a0_factorization, cs.r0 @ r)
     p, m = cs.p, cs.p.shape[1]
     # on row-major grid arrays R_0 x is P X P^T and R_0^T y is P^T Y P
-    Y = cs.a0_factorization.solve((p @ (p @ r.reshape(m, m)).T).T)
+    B = (p @ (p @ r.reshape(m, m)).T).T
+    if isinstance(cs.a0_factorization, linalg.SparseFactorization):
+        Y = linalg.solve(cs.a0_factorization, B.ravel()).reshape(B.shape)
+    else:
+        Y = cs.a0_factorization.solve(B)
     return (p.T @ (p.T @ Y).T).T.ravel()

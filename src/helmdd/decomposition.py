@@ -12,8 +12,9 @@ lower-indexed box).  extend() grows the boxes into overlapping subdomains:
 
 With this geometry the largest admissible extension under the rule that
 no node may belong to more than 4 subdomains is m = H_sub/(2h) layers,
-which is what max_overlap_layers() returns.  The diagonal weights D_i are
-the inverse node multiplicities, so sum_i R_i^T D_i R_i = I holds exactly
+which is what max_overlap_layers() returns; extend() accepts more layers
+and does not check the bound.  The diagonal weights D_i are the inverse
+node multiplicities, so sum_i R_i^T D_i R_i = I holds exactly
 (multiplicities in max-overlap mode are 1, 2 or 4 and the weights are
 exact binary fractions).
 
@@ -32,8 +33,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discretization import Grid
-
-MAX_MULTIPLICITY = 4
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def max_overlap_layers(part: Partition) -> int:
     return part.cells_per_subdomain // 2
 
 
-def extend(part: Partition, overlap_layers: int, enforce_max_multiplicity: bool = False) -> Decomposition:
+def extend(part: Partition, overlap_layers: int) -> Decomposition:
     """Grow the partition into overlapping subdomains with weights."""
     m = overlap_layers
     if m < 0:
@@ -118,19 +117,14 @@ def extend(part: Partition, overlap_layers: int, enforce_max_multiplicity: bool 
     indices = _ranges(rows * grid.unknowns_per_dim + start[row_ax], width[row_ax])
     offsets = np.concatenate(([0], np.cumsum(width[ay] * width[ax])))
     mult = np.bincount(indices, minlength=grid.num_unknowns).astype(float)
-    if enforce_max_multiplicity and mult.max() > MAX_MULTIPLICITY:
-        raise ValueError(
-            f"overlap {m} puts a node in {int(mult.max())} subdomains "
-            f"(max-overlap mode allows {MAX_MULTIPLICITY})"
-        )
     return Decomposition(
         grid=grid, p=p, overlap_layers=m, indices=indices, offsets=offsets, multiplicity=mult
     )
 
 
 def extend_max(part: Partition) -> Decomposition:
-    """Maximum-overlap decomposition (multiplicity bound 4 enforced)."""
-    return extend(part, max_overlap_layers(part), enforce_max_multiplicity=True)
+    """Maximum-overlap decomposition: every node lies in at most 4 subdomains."""
+    return extend(part, max_overlap_layers(part))
 
 
 def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matrix:

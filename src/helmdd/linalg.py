@@ -104,7 +104,7 @@ def factorize_kronecker(T, W, k: float) -> KroneckerFactorization:
     if not cond <= EIGENVECTOR_COND_LIMIT:
         raise SingularMatrixError(f"eigenvector matrix has condition number {cond:.3e}")
     d = lam[:, None] + lam[None, :] - k * k
-    size = np.abs(d) / np.abs(d).max()
+    size = np.abs(d) / max(np.abs(d).max(), 1e-300)  # an all-zero D is resonant too
     i, j = np.unravel_index(np.argmin(size), d.shape)
     if size[i, j] < PIVOT_RTOL:
         raise SingularMatrixError(f"resonant coarse mode (i, j) = ({i}, {j})")

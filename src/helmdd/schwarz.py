@@ -95,6 +95,8 @@ class SchwarzPreconditioner:
             raise ValueError(f"unknown preconditioner {kind!r}, expected one of {PRECONDITIONER_KINDS}")
         if A.shape[0] != decomposition.grid.num_unknowns:
             raise ValueError("matrix size does not match the decomposition's grid")
+        if coarse_space.grid != decomposition.grid:
+            raise ValueError("coarse space was built on a different grid than the decomposition")
         if coarse_space.a0_factorization is None:
             raise ValueError("coarse space is not factorized; call galerkin() first")
         self.kind = kind

@@ -216,13 +216,13 @@ def test_criterion_09_degenerate_exactness():
 
 
 def test_criterion_10_scaling_invariances():
-    """Rescaling R_0 by 3 leaves all applications unchanged to 1e-12;
-    scaling b by 5 leaves iteration counts unchanged exactly."""
+    """Rescaling P by 3 (R_0 = P(x)P by 9) leaves all applications unchanged
+    to 1e-12; scaling b by 5 leaves iteration counts unchanged exactly."""
     g = Grid(33, "dirichlet")
     prob = assemble(g, 10.0, "MP1")
     dec = extend_max(partition(g, 8))
     cs = galerkin(build_hocs(g, 4), prob.A)
-    scaled = galerkin(replace(cs, r0=(3.0 * cs.r0).tocsr(), a0=None, a0_factorization=None), prob.A)
+    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0=None, a0_factorization=None), prob.A)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(g.num_unknowns)
     worst = 0.0

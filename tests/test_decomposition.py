@@ -154,11 +154,6 @@ class TestExtend:
         assert set(np.unique(mult)) <= {1, 2, 4}
         assert np.array_equal(mult, dec.multiplicity.astype(int))
 
-    def test_max_multiplicity_enforced(self):
-        part = partition(Grid(17, "dirichlet"), 4)
-        with pytest.raises(ValueError, match="subdomains"):
-            extend(part, max_overlap_layers(part) + 1, enforce_max_multiplicity=True)
-
     def test_negative_layers_rejected(self):
         with pytest.raises(ValueError):
             extend(partition(Grid(9, "dirichlet"), 2), -1)

@@ -30,17 +30,21 @@ def test_benchmark_tracer_targets_exist():
         assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr} is missing"
 
 
-def test_benchmark_traced_run_reports_every_layer():
-    """A fully traced run yields finite layer metrics and the untraced counts."""
-    spans = load_spans()
-    cfg = helmdd.ExperimentConfig(
+def mp2_k20_config(preconditioners=("SHS2",)):
+    return helmdd.ExperimentConfig(
         problem="MP2",
         k_list=(20,),
         n_list=(81,),
         coarse_kinds=("FOCS", "HOCS"),
-        preconditioners=("SHS2",),
+        preconditioners=preconditioners,
         gmres=helmdd.GmresConfig(side="left"),
     )
+
+
+def test_benchmark_traced_run_reports_every_layer():
+    """A fully traced run yields finite layer metrics and the untraced counts."""
+    spans = load_spans()
+    cfg = mp2_k20_config()
     untraced = helmdd.run_experiment(cfg)
     with spans.Tracer().installed(spans.targets(helmdd, full=True)) as tracer:
         traced = helmdd.run_experiment(cfg)
@@ -50,6 +54,18 @@ def test_benchmark_traced_run_reports_every_layer():
     assert metrics["coarse.a0_nnz"] > 0
     assert metrics["gmres.iterations"] == sum(untraced[0].iterations.values())
     assert [r.iterations for r in traced] == [r.iterations for r in untraced]
+
+
+def test_experiment_never_forms_r0(monkeypatch):
+    """The harness applies the coarse space through P alone, never through R_0 = P(x)P."""
+    cfg = mp2_k20_config(("AS2", "SAS2", "SHS2"))
+    expected = [r.iterations for r in helmdd.run_experiment(cfg)]
+
+    def refuse(cs):
+        raise AssertionError("R_0 formed")
+
+    monkeypatch.setattr(helmdd.coarse.CoarseSpace, "r0", property(refuse))
+    assert [r.iterations for r in helmdd.run_experiment(cfg)] == expected
 
 
 def test_every_import_is_used():

@@ -13,13 +13,13 @@ from helmdd.linalg import factorize, solve
 from helmdd.schwarz import SchwarzPreconditioner
 
 
-def make_instance(n, k, problem, p, coarse_kind, ratio, overlap="max"):
+def make_instance(n, k, problem, p, coarse_kind, ratio, overlap="max", structured=True):
     grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
     prob = assemble(grid, k, problem)
     part = partition(grid, p)
     dec = extend_max(part) if overlap == "max" else extend(part, overlap)
     builder = build_focs if coarse_kind == "FOCS" else build_hocs
-    cs = galerkin(builder(grid, ratio), prob.A)
+    cs = galerkin(builder(grid, ratio), prob if structured else prob.A)
     return prob, dec, cs
 
 
@@ -56,13 +56,20 @@ ORACLE_INSTANCES = [
 
 @pytest.mark.parametrize("kind", ["AS2", "SAS2", "SHS2"])
 @pytest.mark.parametrize("n,k,problem,p,ck,ratio", ORACLE_INSTANCES)
-def test_apply_matches_dense_oracle(kind, n, k, problem, p, ck, ratio):
-    prob, dec, cs = make_instance(n, k, problem, p, ck, ratio)
+def test_apply_matches_dense_oracle(kind, n, k, problem, p, ck, ratio, structured=True):
+    prob, dec, cs = make_instance(n, k, problem, p, ck, ratio, structured=structured)
     assert prob.A.shape[0] <= 200
     M = SchwarzPreconditioner(kind, prob.A, dec, cs)
     dense = dense_preconditioner(kind, prob.A, dec, cs)
     got = np.column_stack([M.apply(e) for e in np.eye(prob.A.shape[0], dtype=prob.A.dtype)])
     assert np.abs(got - dense).max() < 1e-11 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("kind", ["AS2", "SAS2", "SHS2"])
+@pytest.mark.parametrize("n,k,problem,p,ck,ratio", ORACLE_INSTANCES)
+def test_reference_coarse_apply_matches_dense_oracle(kind, n, k, problem, p, ck, ratio):
+    """The same oracle with the coarse space factorized by the sparse-LU reference path."""
+    test_apply_matches_dense_oracle(kind, n, k, problem, p, ck, ratio, structured=False)
 
 
 def test_zero_maps_to_zero():
@@ -142,9 +149,7 @@ def test_rescaling_coarse_operator_changes_nothing(kind):
     from dataclasses import replace
 
     prob, dec, cs = make_instance(13, 5.0, "MP2", 3, "HOCS", 4)
-    scaled = galerkin(
-        replace(cs, r0=(3.0 * cs.r0).tocsr(), a0=None, a0_factorization=None), prob.A
-    )
+    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0=None, a0_factorization=None), prob)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(prob.A.shape[0]) + 1j * rng.standard_normal(prob.A.shape[0])
     a = SchwarzPreconditioner(kind, prob.A, dec, cs).apply(x)
@@ -202,7 +207,7 @@ def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, c
     part = partition(grid, p)
     dec = extend(part, data.draw(st.integers(0, max_overlap_layers(part)), label="overlap"))
     builder = build_focs if coarse_kind == "FOCS" else build_hocs
-    cs = galerkin(builder(grid, 2), prob.A)
+    cs = galerkin(builder(grid, 2), prob)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     x = rng.standard_normal(prob.A.shape[0]).astype(prob.A.dtype)
     if np.iscomplexobj(x):
@@ -229,3 +234,16 @@ def test_unfactorized_coarse_space_rejected():
     prob, dec, _ = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
     with pytest.raises(ValueError, match="galerkin"):
         SchwarzPreconditioner("AS2", prob.A, dec, build_focs(dec.grid, 4))
+
+
+def test_coarse_space_from_another_grid_rejected():
+    grid = Grid(33, "dirichlet")
+    prob = assemble(grid, 5.0, "MP1")
+    dec = extend_max(partition(grid, 8))
+    # same number of unknowns (961) on another grid, through the reference path
+    same_size = galerkin(build_focs(Grid(31, "sommerfeld"), 2), prob.A)
+    smaller_grid = Grid(17, "dirichlet")
+    smaller = galerkin(build_focs(smaller_grid, 2), assemble(smaller_grid, 5.0, "MP1"))
+    for cs in (same_size, smaller):
+        with pytest.raises(ValueError, match="different grid"):
+            SchwarzPreconditioner("AS2", prob.A, dec, cs)
