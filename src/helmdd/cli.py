@@ -5,9 +5,11 @@
     helmdd tables {1,2,3,4}    run a built-in benchmark table sweep
                                (--max-k K drops the cells with k > K)
 
-Warnings go to stderr; the CSV lands at --out (or the config's out entry).
-Exit code is 0 when the sweep completes, even if some cells did not
-converge; 2 for structural errors and output paths that cannot be written.
+The GMRES settings (rtol, max_iter, precond_side) come from the config
+file or the built-in table; no flag overrides them.  Warnings go to
+stderr; the CSV lands at --out (or the config's out entry).  Exit code is
+0 when the sweep completes, even if some cells did not converge; 2 for
+structural errors and output paths that cannot be written.
 """
 
 from __future__ import annotations
@@ -20,31 +22,6 @@ from pathlib import Path
 from . import harness
 
 
-def _add_solver_flags(sub):
-    sub.add_argument("--out", type=Path, default=None, help="output CSV path")
-    sub.add_argument("--max-iter", type=int, default=None, help="GMRES iteration cap override")
-    sub.add_argument("--rtol", type=float, default=None, help="GMRES relative tolerance override")
-    sub.add_argument(
-        "--precond-side", choices=("left", "right"), default=None,
-        help="preconditioning side override",
-    )
-
-
-def _apply_overrides(cfg: harness.ExperimentConfig, args) -> harness.ExperimentConfig:
-    updates = {}
-    if args.max_iter is not None:
-        updates["max_iter"] = args.max_iter
-    if args.rtol is not None:
-        updates["rtol"] = args.rtol
-    if args.precond_side is not None:
-        updates["side"] = args.precond_side
-    if updates:
-        cfg = replace(cfg, gmres=replace(cfg.gmres, **updates))
-    if args.out is not None:
-        cfg = replace(cfg, out=str(args.out))
-    return cfg
-
-
 def _drop_k_above(cfg: harness.ExperimentConfig, max_k: float) -> harness.ExperimentConfig:
     """Drop the sweep cells with k > max_k; a paired sweep loses the matching n too."""
     keep = [i for i, k in enumerate(cfg.k_list) if k <= max_k]
@@ -54,8 +31,7 @@ def _drop_k_above(cfg: harness.ExperimentConfig, max_k: float) -> harness.Experi
     return replace(cfg, k_list=k_list)
 
 
-def _run(cfg: harness.ExperimentConfig, default_out: str) -> int:
-    out = Path(cfg.out or default_out)
+def _run(cfg: harness.ExperimentConfig, out: Path) -> int:
     if out.is_dir():
         raise IsADirectoryError(f"output path {out} is a directory")
     rows = harness.run_experiment(cfg)
@@ -71,7 +47,7 @@ def main(argv=None) -> int:
 
     run_cmd = commands.add_parser("run", help="run a sweep from a config file")
     run_cmd.add_argument("config", type=Path)
-    _add_solver_flags(run_cmd)
+    run_cmd.add_argument("--out", type=Path, default=None, help="output CSV path")
 
     val_cmd = commands.add_parser("validate", help="check a config without solving")
     val_cmd.add_argument("config", type=Path)
@@ -79,13 +55,13 @@ def main(argv=None) -> int:
     tab_cmd = commands.add_parser("tables", help="run a built-in table sweep")
     tab_cmd.add_argument("which", type=int, choices=(1, 2, 3, 4))
     tab_cmd.add_argument("--max-k", type=float, default=None, help="drop sweep cells with k above this")
-    _add_solver_flags(tab_cmd)
+    tab_cmd.add_argument("--out", type=Path, default=None, help="output CSV path")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _apply_overrides(harness.parse_config(args.config), args)
-            return _run(cfg, default_out=f"{args.config.stem}_results.csv")
+            cfg = harness.parse_config(args.config)
+            return _run(cfg, args.out or Path(cfg.out or f"{args.config.stem}_results.csv"))
         if args.command == "validate":
             cfg = harness.parse_config(args.config)
             for k, n, p, rep, warnings in harness.validate_config(cfg):
@@ -97,10 +73,10 @@ def main(argv=None) -> int:
                 for w in warnings:
                     print(f"warning: {w}", file=sys.stderr)
             return 0
-        cfg = _apply_overrides(harness.builtin_table(args.which), args)
+        cfg = harness.builtin_table(args.which)
         if args.max_k is not None:
             cfg = _drop_k_above(cfg, args.max_k)
-        return _run(cfg, default_out=f"table{args.which}.csv")
+        return _run(cfg, args.out or Path(cfg.out))
     except (harness.ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

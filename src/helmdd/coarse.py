@@ -56,11 +56,10 @@ _SYMMETRY_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class CoarseSpace:
-    """Coarse space by its 1D restriction P (R_0 = P(x)P) and, after galerkin, A_0 factorized."""
+    """The fine grid, the 1D restriction P (R_0 = P(x)P) and, after galerkin,
+    A_0 with its factorization."""
 
-    kind: str
     grid: Grid
-    ratio: int
     p: sp.csr_matrix
     a0: sp.csr_matrix | None = None
     a0_factorization: linalg.SparseFactorization | linalg.KroneckerFactorization | None = None
@@ -71,15 +70,6 @@ class CoarseSpace:
         r0 = sp.kron(self.p, self.p, format="csr")
         r0.sort_indices()
         return r0
-
-    @property
-    def coarse_nodes_per_dim(self) -> int:
-        return (self.grid.n - 1) // self.ratio + 1
-
-    @property
-    def coarse_size(self) -> int:
-        """All-node count of the coarse grid (the |G_H| bookkeeping figure)."""
-        return self.coarse_nodes_per_dim**2
 
 
 def _check_ratio(grid: Grid, ratio: int, powers_of_two: bool):
@@ -113,15 +103,13 @@ def build_focs(grid: Grid, ratio: int) -> CoarseSpace:
     """Linear (bilinear hat) coarse space with H = ratio * h."""
     _check_ratio(grid, ratio, powers_of_two=False)
     taps = 1.0 - np.abs(np.arange(1 - ratio, ratio)) / ratio
-    P = _restriction_1d(grid, taps, ratio, 1)
-    return CoarseSpace(kind="FOCS", grid=grid, ratio=ratio, p=P)
+    return CoarseSpace(grid=grid, p=_restriction_1d(grid, taps, ratio, 1))
 
 
 def build_hocs(grid: Grid, ratio: int) -> CoarseSpace:
     """Higher-order Bezier coarse space with H = ratio * h (ratio in 2,4,8,16)."""
     _check_ratio(grid, ratio, powers_of_two=True)
-    P = _restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio)))
-    return CoarseSpace(kind="HOCS", grid=grid, ratio=ratio, p=P)
+    return CoarseSpace(grid=grid, p=_restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio))))
 
 
 def galerkin(cs: CoarseSpace, A: HelmholtzProblem | sp.csr_matrix) -> CoarseSpace:

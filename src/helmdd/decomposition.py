@@ -53,7 +53,6 @@ class Decomposition:
 
     grid: Grid
     p: int
-    overlap_layers: int
     indices: np.ndarray
     offsets: np.ndarray
     multiplicity: np.ndarray
@@ -117,9 +116,7 @@ def extend(part: Partition, overlap_layers: int) -> Decomposition:
     indices = _ranges(rows * grid.unknowns_per_dim + start[row_ax], width[row_ax])
     offsets = np.concatenate(([0], np.cumsum(width[ay] * width[ax])))
     mult = np.bincount(indices, minlength=grid.num_unknowns).astype(float)
-    return Decomposition(
-        grid=grid, p=p, overlap_layers=m, indices=indices, offsets=offsets, multiplicity=mult
-    )
+    return Decomposition(grid=grid, p=p, indices=indices, offsets=offsets, multiplicity=mult)
 
 
 def extend_max(part: Partition) -> Decomposition:

@@ -92,7 +92,6 @@ class HelmholtzProblem:
 
     grid: Grid
     k: float
-    problem: str
     A: sp.csr_matrix
     f: np.ndarray
     T: sp.csr_matrix
@@ -121,10 +120,6 @@ class RegimeReport:
     @property
     def kappa_H_ok(self) -> bool:
         return self.kappa_H <= 1.0 + self._EPS
-
-    @property
-    def pollution_ok(self) -> bool:
-        return self.pollution_metric <= 1.0 + self._EPS
 
 
 def regime(k: float, h: float, H: float) -> RegimeReport:
@@ -171,7 +166,7 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     # node nearest (1/2, 1/2); exact center for odd n
     c = (n - 1) // 2
     f[grid.unknown_index(c, c)] = 1.0 / h**2
-    return HelmholtzProblem(grid=grid, k=k, problem=problem, A=A, f=f, T=T, W=W)
+    return HelmholtzProblem(grid=grid, k=k, A=A, f=f, T=T, W=W)
 
 
 def analytical_mp1(k: float, point, truncation: int = 400):

@@ -11,11 +11,7 @@ thread count produce identical counts; only the timing columns vary.  Cells
 whose residual stagnates near the tolerance (FOCS on MP1, or kappa_H > 1)
 move by a few iterations, or across the cap, under any change of rounding.
 Of the 235 counts of tables 1-4 to k = 100, 7 move with one OpenBLAS thread
-instead of two; 15 moved when the coarse solve left sparse LU for the
-Kronecker eigenbasis: table 2's FOCS cells at k = 60 (AS2, SAS2), 80 (SAS2,
-SHS2) and 100 (SHS2), table 3's k = 40 cells at n = 41, 49, 57 and table
-4's (k, n) = (15, 81), (25, 113), (25, 177), (30, 81), (30, 113), (30, 129),
-(30, 193).  No HOCS cell with kappa_H <= 1 moves.
+instead of two.  No HOCS cell with kappa_H <= 1 moves.
 """
 
 from __future__ import annotations
@@ -271,13 +267,12 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
             iterations[f"{ck}_{pk}"] = report.iterations if report.converged else "x"
     solve_seconds = time.perf_counter() - t1
 
-    any_cs = next(iter(spaces.values()))
     return TableRow(
         k=k,
         n=n,
         subdomains=decomp.num_subdomains,
         fine_nodes=grid.num_nodes,
-        coarse_nodes=any_cs.coarse_size,
+        coarse_nodes=(p + 1) ** 2,
         kappa_h=rep.kappa_h,
         kappa_H=rep.kappa_H,
         iterations=iterations,

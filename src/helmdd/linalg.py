@@ -40,6 +40,7 @@ class SparseFactorization:
 
     lu: SuperLU
     n: int
+    dtype: np.dtype
 
     @property
     def fill_nnz(self) -> int:
@@ -69,14 +70,17 @@ def factorize(A) -> SparseFactorization:
         raise SingularMatrixError(
             f"near-zero pivot {pivots.min():.3e} (matrix scale {scale:.3e})"
         )
-    return SparseFactorization(lu=lu, n=A.shape[0])
+    return SparseFactorization(lu=lu, n=A.shape[0], dtype=A.dtype)
 
 
 def solve(F: SparseFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b using a previously computed factorization."""
+    """Solve A x = b using a previously computed factorization; a complex b
+    on real factors is solved as its real and imaginary parts."""
     b = np.asarray(b)
     if b.shape[0] != F.n:
         raise ValueError(f"dimension mismatch: factorization is {F.n}, vector has length {b.shape[0]}")
+    if np.iscomplexobj(b) and F.dtype.kind != "c":
+        return F.lu.solve(b.real) + 1j * F.lu.solve(b.imag)
     return F.lu.solve(b)
 
 

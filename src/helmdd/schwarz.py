@@ -101,7 +101,6 @@ class SchwarzPreconditioner:
             raise ValueError("coarse space is not factorized; call galerkin() first")
         self.kind = kind
         self.A = A
-        self.decomposition = decomposition
         self.coarse_space = coarse_space
         if local_solves is None:
             labels, representatives = block_classes(decomposition, A)

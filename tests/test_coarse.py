@@ -71,15 +71,8 @@ class TestFocs:
         coarse_vals = (cx + cy).ravel()
         assert np.abs(cs.r0.T @ coarse_vals - field).max() < 1e-14
 
-    def test_coarse_grid_bookkeeping(self):
-        cs = build_focs(Grid(81, "sommerfeld"), 4)
-        assert cs.coarse_nodes_per_dim == 21
-        assert cs.coarse_size == 441
-        assert cs.r0.shape[0] == 441
-
     def test_dirichlet_excludes_boundary_coarse_nodes(self):
         cs = build_focs(Grid(81, "dirichlet"), 4)
-        assert cs.coarse_size == 441  # bookkeeping counts all coarse nodes
         assert cs.r0.shape[0] == 19 * 19
         assert cs.r0.shape == (361, 79 * 79)
 
@@ -228,6 +221,17 @@ def test_reference_correction_matches_explicit_r0(problem, kind):
     got = coarse_correct(cs, r)
     want = cs.r0.T @ solve(cs.a0_factorization, cs.r0 @ r)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["FOCS", "HOCS"])
+def test_reference_correction_of_complex_vector_on_real_matrix(kind):
+    g = Grid(17, "dirichlet")
+    prob = assemble(g, 5.0, "MP1")
+    built = (build_focs if kind == "FOCS" else build_hocs)(g, 4)
+    r = random_vector(np.random.default_rng(8), g.num_unknowns, complex)
+    got = coarse_correct(galerkin(built, prob.A), r)
+    want = coarse_correct(galerkin(built, prob), r)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("structured", [False, True], ids=["matrix", "problem"])

@@ -54,8 +54,8 @@ def reference_decomposition(grid, p, m):
     return sets, [1.0 / mult[idx] for idx in sets], mult
 
 
-def assert_matches_reference(dec):
-    sets, weights, mult = reference_decomposition(dec.grid, dec.p, dec.overlap_layers)
+def assert_matches_reference(dec, m):
+    sets, weights, mult = reference_decomposition(dec.grid, dec.p, m)
     for got, want in [
         (dec.indices, np.concatenate(sets)),
         (dec.offsets, np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))),
@@ -74,7 +74,8 @@ def test_stacked_layout_matches_reference_on_table_layouts():
         layouts |= {(n, (n - 1) // cfg.coarse_ratio, bc) for _, n in cfg.cells()}
     assert len(layouts) == 46
     for n, p, bc in sorted(layouts):
-        assert_matches_reference(extend_max(partition(Grid(n, bc), p)))
+        part = partition(Grid(n, bc), p)
+        assert_matches_reference(extend_max(part), max_overlap_layers(part))
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,7 +89,7 @@ def test_stacked_layout_matches_reference(p, cells, bc, data):
     assume(cells * p >= 2)  # a grid needs n >= 3 nodes per dimension
     part = partition(Grid(cells * p + 1, bc), p)
     m = data.draw(st.integers(0, max_overlap_layers(part) + 1), label="overlap")
-    assert_matches_reference(extend(part, m))
+    assert_matches_reference(extend(part, m), m)
 
 
 class TestPartition:

@@ -167,7 +167,6 @@ class TestRegime:
     def test_flags_inclusive_at_boundary(self):
         rep = regime(1.0, 1.0, 1.0)
         assert rep.pollution_metric == 1.0
-        assert rep.pollution_ok
         assert rep.kappa_H_ok
         assert not rep.kappa_h_ok  # kappa_h = 1 > 0.25
 

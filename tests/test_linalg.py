@@ -71,6 +71,14 @@ def test_solve_complex_diagonal():
     assert x == pytest.approx([1.0, 2.0])
 
 
+def test_solve_complex_vector_on_real_factors():
+    A = laplacian_5pt(4)
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    x = solve(factorize(A), b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_solve_dimension_mismatch():
     F = factorize(sp.identity(3, format="csr"))
     with pytest.raises(ValueError):

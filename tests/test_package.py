@@ -1,9 +1,13 @@
 import ast
 import importlib.util
 import math
+import re
 from pathlib import Path
 
+import pytest
+
 import helmdd
+import helmdd.cli
 
 
 def test_star_import_resolves_every_export():
@@ -51,6 +55,7 @@ def test_benchmark_traced_run_reports_every_layer():
     metrics = tracer.table().layer_metrics()
     assert all(math.isfinite(v) for v in metrics.values()), metrics
     assert metrics["harness.cells"] == 1
+    assert untraced[0].coarse_nodes == 441  # all 21 x 21 coarse nodes of the Sommerfeld grid
     assert metrics["coarse.a0_nnz"] > 0
     assert metrics["gmres.iterations"] == sum(untraced[0].iterations.values())
     assert [r.iterations for r in traced] == [r.iterations for r in untraced]
@@ -82,3 +87,29 @@ def test_every_import_is_used():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def readme_command_flags():
+    """The --flags the README's "Command line" block lists, per subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    flags, command = {}, None
+    for line in block.splitlines():
+        text = line.split("#", 1)[0]
+        if text.startswith("helmdd "):
+            command = text.split()[1]
+            flags[command] = set()
+        flags[command] |= set(re.findall(r"--[a-z][a-z-]*", text))
+    return flags
+
+
+def test_readme_command_line_matches_argparse(capsys):
+    """Every option a subcommand's -h lists is in the README block, and nothing else."""
+    documented = readme_command_flags()
+    assert sorted(documented) == ["run", "tables", "validate"]
+    for command, listed in documented.items():
+        with pytest.raises(SystemExit):
+            helmdd.cli.main([command, "-h"])
+        accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == accepted, command

@@ -247,3 +247,12 @@ def test_coarse_space_from_another_grid_rejected():
     for cs in (same_size, smaller):
         with pytest.raises(ValueError, match="different grid"):
             SchwarzPreconditioner("AS2", prob.A, dec, cs)
+
+
+def test_reference_coarse_apply_accepts_complex_vector_on_real_matrix():
+    prob, dec, reference = make_instance(17, 5.0, "MP1", 4, "HOCS", 4, structured=False)
+    structured = galerkin(build_hocs(dec.grid, 4), prob)
+    x = (1 + 1j) * np.ones(prob.A.shape[0])
+    got = SchwarzPreconditioner("SHS2", prob.A, dec, reference).apply(x)
+    want = SchwarzPreconditioner("SHS2", prob.A, dec, structured).apply(x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
