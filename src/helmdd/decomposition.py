@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretization import Grid
+from .discretization import Grid, HelmholtzProblem
 
 
 @dataclass(frozen=True)
@@ -130,56 +130,45 @@ def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matr
     return A[idx][:, idx]
 
 
-def block_classes(decomp: Decomposition, A) -> tuple:
+def _restricted(M: sp.csr_matrix, lo: int, hi: int) -> tuple:
+    """The CSR arrays of M[lo:hi+1, lo:hi+1], as bytes."""
+    block = M[lo:hi + 1, lo:hi + 1]
+    return block.indptr.tobytes(), block.indices.tobytes(), block.data.tobytes()
+
+
+def block_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     """Group the subdomains by the content of their blocks R_i A R_i^T.
 
     Returns (labels, representatives): labels[i] is the class of subdomain
-    i, and representatives[c] is the first subdomain of class c.  Two
-    subdomains share a class exactly when their blocks have the same size
-    and the same stored entries, compared bit for bit, so every member's
-    local_matrix equals its representative's.
+    i, and representatives[c] is the first subdomain of class c.
 
-    All blocks are cut from one gather of the rows A[J], where J is the
-    stacked indices; a single searchsorted on subdomain * N + global index
-    maps each column to its local position, or drops it when it lies
-    outside the subdomain.
+    A subdomain is a box Y x X of the unknown grid, read from its own first
+    and last stacked index, and its block is the Kronecker sum
+    T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X of the restrictions of the 1D
+    factors T and W of problem (discretization.assemble).  Each distinct 1D
+    interval is classed by the stored entries of T and W on it, compared
+    bit for bit, and a subdomain's class is its (Y class, X class) pair, so
+    every member's local_matrix equals its representative's.  Distinct
+    pairs can still give equal blocks (an MP1 box of width 1 and its
+    transpose); they stay separate classes.
     """
-    A = sp.csr_matrix(A)
-    J, offsets = decomp.indices, decomp.offsets
-    sizes = np.diff(offsets)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    local = np.arange(len(J)) - offsets[owner]
-
-    # nonzeros of the stacked rows A[J], one entry per (stacked row, column)
-    starts, counts = A.indptr[J], np.diff(A.indptr)[J]
-    row = np.repeat(np.arange(len(J)), counts)
-    nz = _ranges(starts, counts)
-    cols = A.indices[nz]
-
-    N = A.shape[1]
-    keys = owner * N + J
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    wanted = owner[row] * N + cols
-    pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(sorted_keys) - 1)
-    inside = sorted_keys[pos] == wanted
-    # the entries keep A's order within each row, so equal keys mean equal blocks
-    row, col, vals = row[inside], local[order[pos[inside]]], A.data[nz[inside]]
-
-    row_nnz = np.bincount(row, minlength=len(J))
-    nz_offsets = np.concatenate(([0], np.cumsum(row_nnz)))[offsets]
-    labels = np.empty(len(sizes), dtype=np.int64)
-    classes: dict = {}
-    representatives = []
-    for i in range(len(sizes)):
-        a, b = nz_offsets[i], nz_offsets[i + 1]
-        key = (
-            row_nnz[offsets[i]:offsets[i + 1]].tobytes(),
-            col[a:b].tobytes(),
-            vals[a:b].tobytes(),
-        )
-        if key not in classes:
-            classes[key] = len(representatives)
-            representatives.append(i)
-        labels[i] = classes[key]
-    return labels, np.asarray(representatives)
+    if np.diff(decomp.offsets).min() < 1:
+        raise ValueError("an empty subdomain has no block")
+    m = decomp.grid.unknowns_per_dim
+    y0, x0 = np.divmod(decomp.indices[decomp.offsets[:-1]], m)
+    y1, x1 = np.divmod(decomp.indices[decomp.offsets[1:] - 1], m)
+    # the [lo, hi] of every subdomain's Y interval, then of every X interval
+    bounds = np.column_stack((np.concatenate((y0, x0)), np.concatenate((y1, x1))))
+    intervals, interval_of = np.unique(bounds, axis=0, return_inverse=True)
+    T, W = sp.csr_matrix(problem.T), sp.csr_matrix(problem.W)
+    content: dict = {}
+    interval_class = np.array([
+        content.setdefault(_restricted(T, lo, hi) + _restricted(W, lo, hi), len(content))
+        for lo, hi in intervals
+    ])
+    y_class, x_class = interval_class[interval_of.ravel()].reshape(2, -1)
+    pairs = y_class * len(content) + x_class
+    _, members, label = np.unique(pairs, return_index=True, return_inverse=True)
+    # number the classes by their first member, in stack order
+    order = np.argsort(members)
+    return np.argsort(order)[label.ravel()], members[order]

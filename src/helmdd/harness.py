@@ -1,16 +1,17 @@
 """Experiment runner: sweeps (k, n, coarse kind, preconditioner) cells,
 collects GMRES iteration counts into table rows, and writes CSV reports.
 
-A sweep cell builds the problem once, groups the subdomain blocks
-R_i A R_i^T into classes of identical content, factorizes each distinct
-block once, and shares the resulting local solves across all
-preconditioner kinds; the Galerkin coarse problem is built once per coarse
-kind.  Nonconverged solves are reported with the literal 'x' in place of
-the iteration count.  Reruns of the same configuration at a fixed BLAS
-thread count produce identical counts; only the timing columns vary.  Cells
-whose residual stagnates near the tolerance (FOCS on MP1, or kappa_H > 1)
-move by a few iterations, or across the cap, under any change of rounding.
-Of the 235 counts of tables 1-4 to k = 100, 7 move with one OpenBLAS thread
+A sweep cell builds the problem once, classes the subdomains by the
+restrictions of the 1D factors T and W to their two 1D intervals (equal
+restrictions give equal blocks R_i A R_i^T), factorizes one block per
+class, and shares the resulting local solves across all preconditioner
+kinds; the Galerkin coarse problem is built once per coarse kind.
+Nonconverged solves are reported with the literal 'x' in place of the
+iteration count.  Reruns of the same configuration at a fixed BLAS thread
+count produce identical counts; only the timing columns vary.  Cells whose
+residual stagnates near the tolerance (FOCS on MP1, or kappa_H > 1) move by
+a few iterations, or across the cap, under any change of rounding.  Of the
+235 counts of tables 1-4 to k = 100, 6 move with one OpenBLAS thread
 instead of two.  No HOCS cell with kappa_H <= 1 moves.
 """
 
@@ -246,7 +247,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     prob = assemble(grid, k, cfg.problem)
     part = partition(grid, p)
     decomp = extend_max(part) if cfg.overlap == "max" else extend(part, int(cfg.overlap))
-    labels, representatives = block_classes(decomp, prob.A)
+    labels, representatives = block_classes(decomp, prob)
     local_solves = LocalSolves(
         decomp,
         labels,
@@ -262,7 +263,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     iterations = {}
     for ck in cfg.coarse_kinds:
         for pk in cfg.preconditioners:
-            M = SchwarzPreconditioner(pk, prob.A, decomp, spaces[ck], local_solves=local_solves)
+            M = SchwarzPreconditioner(pk, prob, decomp, spaces[ck], local_solves=local_solves)
             report = gmres(prob.A, M, prob.f, cfg.gmres)
             iterations[f"{ck}_{pk}"] = report.iterations if report.converged else "x"
     solve_seconds = time.perf_counter() - t1

@@ -12,14 +12,16 @@ factor (I - A C) deflates the coarse space out of the residual before the
 local solves.  In SHS2 the coarse solve C x is computed once and shared
 between the additive term and the deflation factor.
 
-The local blocks R_i A R_i^T of the model problems repeat: constant
-coefficients on equal boxes leave only a handful of distinct blocks (at
-most 9 on box decompositions), however many subdomains there are.
-LocalSolves groups the subdomains into these block classes
-(decomposition.block_classes), factorizes one representative per class and
-keeps its dense inverse.  The one-level term is then applied as one gather
-x[G] of every subdomain's entries, one matrix product per class with the
-class's inverse and one scatter-add.  The weights D_i are the inverse node
+The local blocks R_i A R_i^T of the model problems repeat.  A subdomain is
+a box Y x X, and its block is fixed by the 1D factors T and W of
+A = T(x)W + W(x)T - k^2 W(x)W restricted to Y and to X.  Up to the maximum
+overlap the 1D intervals fall into at most 3 classes of equal restrictions
+(first, interior, last), so at most 9 distinct blocks remain, however many
+subdomains there are.  decomposition.block_classes labels each subdomain by
+its (Y class, X class) pair; LocalSolves factorizes one representative per
+class and keeps its dense inverse.  The one-level term is then applied as
+one gather x[G] of every subdomain's entries, one matrix product per class
+with the class's inverse and one scatter-add.  The weights D_i are the inverse node
 multiplicities, so sum_i R_i^T D_i y_i = D sum_i R_i^T y_i with
 D = diag(1/multiplicity): the scaled variants divide the scattered sum by
 the multiplicity.  The inverses take sum over classes of s_c^2 entries for
@@ -36,6 +38,7 @@ import numpy as np
 from . import linalg
 from .coarse import CoarseSpace, coarse_correct
 from .decomposition import Decomposition, block_classes, local_matrix
+from .discretization import HelmholtzProblem
 
 PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
 
@@ -86,30 +89,30 @@ class SchwarzPreconditioner:
     def __init__(
         self,
         kind: str,
-        A,
+        problem: HelmholtzProblem,
         decomposition: Decomposition,
         coarse_space: CoarseSpace,
         local_solves: LocalSolves | None = None,
     ):
         if kind not in PRECONDITIONER_KINDS:
             raise ValueError(f"unknown preconditioner {kind!r}, expected one of {PRECONDITIONER_KINDS}")
-        if A.shape[0] != decomposition.grid.num_unknowns:
-            raise ValueError("matrix size does not match the decomposition's grid")
+        if problem.grid != decomposition.grid:
+            raise ValueError("problem was assembled on a different grid than the decomposition")
         if coarse_space.grid != decomposition.grid:
             raise ValueError("coarse space was built on a different grid than the decomposition")
         if coarse_space.a0_factorization is None:
             raise ValueError("coarse space is not factorized; call galerkin() first")
         self.kind = kind
-        self.A = A
+        self.A = problem.A
         self.coarse_space = coarse_space
         if local_solves is None:
-            labels, representatives = block_classes(decomposition, A)
+            labels, representatives = block_classes(decomposition, problem)
             local_solves = LocalSolves(
                 decomposition,
                 labels,
-                [linalg.factorize(local_matrix(decomposition, i, A)) for i in representatives],
+                [linalg.factorize(local_matrix(decomposition, i, self.A)) for i in representatives],
             )
-        elif local_solves.num_unknowns != A.shape[0]:
+        elif local_solves.num_unknowns != self.A.shape[0]:
             raise ValueError("local solves were built for a different number of unknowns")
         self.local_solves = local_solves
 

@@ -142,7 +142,7 @@ def test_criterion_06_operator_oracle_equivalence():
         assert prob.A.shape[0] <= 200
         eye = np.eye(prob.A.shape[0], dtype=prob.A.dtype)
         for kind in ("AS2", "SAS2", "SHS2"):
-            M = SchwarzPreconditioner(kind, prob.A, dec, cs)
+            M = SchwarzPreconditioner(kind, prob, dec, cs)
             dense = dense_preconditioner(kind, prob.A, dec, cs)
             got = np.column_stack([M.apply(e) for e in eye])
             worst = max(worst, np.abs(got - dense).max() / np.abs(dense).max())
@@ -198,7 +198,7 @@ def test_criterion_09_degenerate_exactness():
     prob = assemble(g, 2.0, "MP1")
     dec = extend_max(partition(g, 2))
     cs_full = galerkin(build_focs(g, 1), prob.A)
-    shs = SchwarzPreconditioner("SHS2", prob.A, dec, cs_full)
+    shs = SchwarzPreconditioner("SHS2", prob, dec, cs_full)
     rep = gmres(prob.A, shs, prob.f, GmresConfig())
     one_iter = rep.converged and rep.iterations == 1
 
@@ -206,8 +206,8 @@ def test_criterion_09_degenerate_exactness():
     cs = galerkin(build_focs(g, 4), prob.A)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(g.num_unknowns)
-    a = SchwarzPreconditioner("AS2", prob.A, dec0, cs).apply(x)
-    b = SchwarzPreconditioner("SAS2", prob.A, dec0, cs).apply(x)
+    a = SchwarzPreconditioner("AS2", prob, dec0, cs).apply(x)
+    b = SchwarzPreconditioner("SAS2", prob, dec0, cs).apply(x)
     same = np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
     ok = one_iter and same
     report(9, "Degenerate exactness", ok,
@@ -227,12 +227,12 @@ def test_criterion_10_scaling_invariances():
     x = rng.standard_normal(g.num_unknowns)
     worst = 0.0
     for kind in ("AS2", "SAS2", "SHS2"):
-        a = SchwarzPreconditioner(kind, prob.A, dec, cs).apply(x)
-        b = SchwarzPreconditioner(kind, prob.A, dec, scaled).apply(x)
+        a = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
+        b = SchwarzPreconditioner(kind, prob, dec, scaled).apply(x)
         worst = max(worst, np.abs(a - b).max() / np.abs(a).max())
     r0_ok = worst < 1e-12
 
-    M = SchwarzPreconditioner("SHS2", prob.A, dec, cs)
+    M = SchwarzPreconditioner("SHS2", prob, dec, cs)
     counts = []
     for side in ("right", "left"):
         cfg = GmresConfig(side=side)

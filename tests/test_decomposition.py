@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -192,6 +194,21 @@ def test_local_matrices_are_principal_submatrices():
         assert np.array_equal(local_matrix(dec, i, prob.A).toarray(), expected)
 
 
+def assert_classes_group_identical_blocks(dec, prob):
+    labels, representatives = block_classes(dec, prob)
+    assert len(labels) == dec.num_subdomains
+    assert len(representatives) <= 9
+    assert np.array_equal(labels[representatives], np.arange(len(representatives)))
+    # each representative is the first member of its class
+    assert np.array_equal(np.unique(labels, return_index=True)[1], representatives)
+    for i in range(dec.num_subdomains):
+        block = local_matrix(dec, i, prob.A)
+        rep = local_matrix(dec, representatives[labels[i]], prob.A)
+        assert block.shape == rep.shape
+        assert np.array_equal(block.toarray(), rep.toarray())
+    return labels
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     problem=st.sampled_from(["MP1", "MP2"]),
@@ -205,21 +222,37 @@ def test_block_classes_group_identical_blocks(problem, p, cells, k, data):
     prob = assemble(grid, k, problem)
     part = partition(grid, p)
     dec = extend(part, data.draw(st.integers(0, max_overlap_layers(part)), label="overlap"))
-    labels, representatives = block_classes(dec, prob.A)
-    assert len(labels) == dec.num_subdomains
-    assert len(representatives) <= 9
-    assert np.array_equal(labels[representatives], np.arange(len(representatives)))
-    for i in range(dec.num_subdomains):
-        block = local_matrix(dec, i, prob.A)
-        rep = local_matrix(dec, representatives[labels[i]], prob.A)
-        assert block.shape == rep.shape
-        assert np.array_equal(block.toarray(), rep.toarray())
+    labels = assert_classes_group_identical_blocks(dec, prob)
+    # the same boxes stacked in another order: a class is keyed by the box, not by its slot
+    perm = np.array(data.draw(st.permutations(range(dec.num_subdomains)), label="order"))
+    sets = np.split(dec.indices, dec.offsets[1:-1])
+    shuffled = replace(
+        dec,
+        indices=np.concatenate([sets[i] for i in perm]),
+        offsets=np.concatenate(([0], np.cumsum(np.diff(dec.offsets)[perm]))),
+    )
+    shuffled_labels = assert_classes_group_identical_blocks(shuffled, prob)
+    # the two labelings differ only by a renumbering of the classes
+    pairs = np.unique(np.stack((shuffled_labels, labels[perm])), axis=1)
+    assert pairs.shape[1] == shuffled_labels.max() + 1 == labels.max() + 1
+
+
+def test_block_classes_reject_empty_subdomains():
+    # one cell per box: the owned nodes of the last box row and column are boundary nodes
+    grid = Grid(9, "dirichlet")
+    with pytest.raises(ValueError, match="empty subdomain"):
+        block_classes(extend(partition(grid, 8), 0), assemble(grid, 2.0, "MP1"))
 
 
 def test_block_classes_of_the_table_cells():
-    for problem, n, p, distinct in [("MP2", 81, 20, 9), ("MP1", 81, 20, 4), ("MP1", 65, 4, 4)]:
+    cells = [
+        ("MP2", 81, 20, 9), ("MP1", 81, 20, 4), ("MP1", 65, 4, 4),
+        # the benchmark's layouts
+        ("MP2", 401, 100, 9), ("MP1", 321, 80, 4), ("MP1", 257, 16, 4),
+    ]
+    for problem, n, p, distinct in cells:
         grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
         dec = extend_max(partition(grid, p))
-        labels, representatives = block_classes(dec, assemble(grid, 10.0, problem).A)
+        labels, representatives = block_classes(dec, assemble(grid, 10.0, problem))
         assert len(representatives) == distinct
         assert np.bincount(labels).sum() == dec.num_subdomains

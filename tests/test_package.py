@@ -113,3 +113,12 @@ def test_readme_command_line_matches_argparse(capsys):
             helmdd.cli.main([command, "-h"])
         accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
         assert listed == accepted, command
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's "Library use" block runs as printed and prints its stated result."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "8 True\n"

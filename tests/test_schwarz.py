@@ -59,7 +59,7 @@ ORACLE_INSTANCES = [
 def test_apply_matches_dense_oracle(kind, n, k, problem, p, ck, ratio, structured=True):
     prob, dec, cs = make_instance(n, k, problem, p, ck, ratio, structured=structured)
     assert prob.A.shape[0] <= 200
-    M = SchwarzPreconditioner(kind, prob.A, dec, cs)
+    M = SchwarzPreconditioner(kind, prob, dec, cs)
     dense = dense_preconditioner(kind, prob.A, dec, cs)
     got = np.column_stack([M.apply(e) for e in np.eye(prob.A.shape[0], dtype=prob.A.dtype)])
     assert np.abs(got - dense).max() < 1e-11 * np.abs(dense).max()
@@ -74,13 +74,13 @@ def test_reference_coarse_apply_matches_dense_oracle(kind, n, k, problem, p, ck,
 
 def test_zero_maps_to_zero():
     prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
-    M = SchwarzPreconditioner("AS2", prob.A, dec, cs)
+    M = SchwarzPreconditioner("AS2", prob, dec, cs)
     assert np.all(M.apply(np.zeros(49)) == 0.0)
 
 
 def test_linearity():
     prob, dec, cs = make_instance(9, 3.0, "MP2", 2, "HOCS", 4)
-    M = SchwarzPreconditioner("SHS2", prob.A, dec, cs)
+    M = SchwarzPreconditioner("SHS2", prob, dec, cs)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(81) + 1j * rng.standard_normal(81)
     y = rng.standard_normal(81) + 1j * rng.standard_normal(81)
@@ -101,7 +101,7 @@ def test_degenerate_single_domain_full_coarse_is_twice_inverse():
     prob = assemble(grid, 2.0, "MP1")
     dec = extend(partition(grid, 1), 0)
     cs = galerkin(build_focs(grid, 1), prob.A)  # ratio 1: coarse space = full space
-    M = SchwarzPreconditioner("AS2", prob.A, dec, cs)
+    M = SchwarzPreconditioner("AS2", prob, dec, cs)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(49)
     expected = 2.0 * solve(factorize(prob.A), x)
@@ -115,8 +115,8 @@ def test_no_overlap_makes_scaled_equal_plain():
     cs = galerkin(build_focs(grid, 4), prob.A)
     rng = np.random.default_rng(2)
     x = rng.standard_normal(49)
-    plain = SchwarzPreconditioner("AS2", prob.A, dec, cs).apply(x)
-    scaled = SchwarzPreconditioner("SAS2", prob.A, dec, cs).apply(x)
+    plain = SchwarzPreconditioner("AS2", prob, dec, cs).apply(x)
+    scaled = SchwarzPreconditioner("SAS2", prob, dec, cs).apply(x)
     assert np.abs(plain - scaled).max() < 1e-15 * np.abs(plain).max()
 
 
@@ -125,7 +125,7 @@ def test_full_coarse_space_makes_hybrid_exact():
     prob = assemble(grid, 2.0, "MP1")
     dec = extend_max(partition(grid, 2))
     cs = galerkin(build_focs(grid, 1), prob.A)
-    M = SchwarzPreconditioner("SHS2", prob.A, dec, cs)
+    M = SchwarzPreconditioner("SHS2", prob, dec, cs)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(49)
     exact = solve(factorize(prob.A), x)
@@ -152,8 +152,8 @@ def test_rescaling_coarse_operator_changes_nothing(kind):
     scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0=None, a0_factorization=None), prob)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(prob.A.shape[0]) + 1j * rng.standard_normal(prob.A.shape[0])
-    a = SchwarzPreconditioner(kind, prob.A, dec, cs).apply(x)
-    b = SchwarzPreconditioner(kind, prob.A, dec, scaled).apply(x)
+    a = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
+    b = SchwarzPreconditioner(kind, prob, dec, scaled).apply(x)
     assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
 
 
@@ -172,8 +172,8 @@ def test_subdomain_order_independence(kind):
         offsets=np.concatenate(([0], np.cumsum(np.diff(dec.offsets)[perm]))),
     )
     x = rng.standard_normal(prob.A.shape[0])
-    a = SchwarzPreconditioner(kind, prob.A, dec, cs).apply(x)
-    b = SchwarzPreconditioner(kind, prob.A, shuffled, cs).apply(x)
+    a = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
+    b = SchwarzPreconditioner(kind, prob, shuffled, cs).apply(x)
     assert np.abs(a - b).max() < 1e-13 * np.abs(a).max()
 
 
@@ -212,7 +212,7 @@ def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, c
     x = rng.standard_normal(prob.A.shape[0]).astype(prob.A.dtype)
     if np.iscomplexobj(x):
         x += 1j * rng.standard_normal(len(x))
-    got = SchwarzPreconditioner(kind, prob.A, dec, cs).apply(x)
+    got = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
     want = reference_apply(kind, prob.A, dec, cs, x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -220,12 +220,12 @@ def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, c
 def test_unknown_kind_rejected():
     prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
     with pytest.raises(ValueError):
-        SchwarzPreconditioner("RAS", prob.A, dec, cs)
+        SchwarzPreconditioner("RAS", prob, dec, cs)
 
 
 def test_dimension_mismatch_rejected():
     prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
-    M = SchwarzPreconditioner("AS2", prob.A, dec, cs)
+    M = SchwarzPreconditioner("AS2", prob, dec, cs)
     with pytest.raises(ValueError):
         M.apply(np.ones(50))
 
@@ -233,7 +233,7 @@ def test_dimension_mismatch_rejected():
 def test_unfactorized_coarse_space_rejected():
     prob, dec, _ = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
     with pytest.raises(ValueError, match="galerkin"):
-        SchwarzPreconditioner("AS2", prob.A, dec, build_focs(dec.grid, 4))
+        SchwarzPreconditioner("AS2", prob, dec, build_focs(dec.grid, 4))
 
 
 def test_coarse_space_from_another_grid_rejected():
@@ -246,13 +246,23 @@ def test_coarse_space_from_another_grid_rejected():
     smaller = galerkin(build_focs(smaller_grid, 2), assemble(smaller_grid, 5.0, "MP1"))
     for cs in (same_size, smaller):
         with pytest.raises(ValueError, match="different grid"):
-            SchwarzPreconditioner("AS2", prob.A, dec, cs)
+            SchwarzPreconditioner("AS2", prob, dec, cs)
+
+
+def test_problem_from_another_grid_rejected():
+    grid = Grid(33, "dirichlet")
+    dec = extend_max(partition(grid, 8))
+    cs = galerkin(build_focs(grid, 4), assemble(grid, 5.0, "MP1"))
+    # same number of unknowns (961) on another grid
+    other = assemble(Grid(31, "sommerfeld"), 5.0, "MP2")
+    with pytest.raises(ValueError, match="different grid"):
+        SchwarzPreconditioner("AS2", other, dec, cs)
 
 
 def test_reference_coarse_apply_accepts_complex_vector_on_real_matrix():
     prob, dec, reference = make_instance(17, 5.0, "MP1", 4, "HOCS", 4, structured=False)
     structured = galerkin(build_hocs(dec.grid, 4), prob)
     x = (1 + 1j) * np.ones(prob.A.shape[0])
-    got = SchwarzPreconditioner("SHS2", prob.A, dec, reference).apply(x)
-    want = SchwarzPreconditioner("SHS2", prob.A, dec, structured).apply(x)
+    got = SchwarzPreconditioner("SHS2", prob, dec, reference).apply(x)
+    want = SchwarzPreconditioner("SHS2", prob, dec, structured).apply(x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
