@@ -22,7 +22,8 @@ nodes are excluded, mirroring the fine-grid convention.
 galerkin picks the coarse solve from the type of its second argument.  For
 a HelmholtzProblem, A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble)
 and R_0 = P(x)P make A_0 the same Kronecker sum of T_0 = P T P^T and
-W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker).
+W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker
+with the one eigenbasis of (T_0, W_0) in both dimensions).
 The sparse A_0 is assembled from (T_0, W_0) for inspection only.  For a
 bare matrix A, R_0 and A_0 = R_0 A R_0^T are formed sparsely, A_0 checked
 for symmetry and LU-factorized; this is the reference the structured path
@@ -121,7 +122,8 @@ def galerkin(cs: CoarseSpace, A: HelmholtzProblem | sp.csr_matrix) -> CoarseSpac
         T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (A.T, A.W))
         T0, W0 = (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
         a0 = kronecker_sum(T0, W0, A.k)
-        return replace(cs, a0=a0, a0_factorization=linalg.factorize_kronecker(T0, W0, A.k))
+        basis = linalg.eigenbasis(T0, W0)
+        return replace(cs, a0=a0, a0_factorization=linalg.factorize_kronecker(basis, basis, A.k))
     r0 = cs.r0
     if r0.shape[1] != A.shape[0]:
         raise ValueError(

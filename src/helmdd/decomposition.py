@@ -136,6 +136,15 @@ def _restricted(M: sp.csr_matrix, lo: int, hi: int) -> tuple:
     return block.indptr.tobytes(), block.indices.tobytes(), block.data.tobytes()
 
 
+def box_bounds(decomp: Decomposition) -> tuple:
+    """(y0, x0, y1, x1): the first and last unknown row and column of every
+    subdomain's box, read from its own first and last stacked index."""
+    m = decomp.grid.unknowns_per_dim
+    y0, x0 = np.divmod(decomp.indices[decomp.offsets[:-1]], m)
+    y1, x1 = np.divmod(decomp.indices[decomp.offsets[1:] - 1], m)
+    return y0, x0, y1, x1
+
+
 def block_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     """Group the subdomains by the content of their blocks R_i A R_i^T.
 
@@ -154,9 +163,7 @@ def block_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     """
     if np.diff(decomp.offsets).min() < 1:
         raise ValueError("an empty subdomain has no block")
-    m = decomp.grid.unknowns_per_dim
-    y0, x0 = np.divmod(decomp.indices[decomp.offsets[:-1]], m)
-    y1, x1 = np.divmod(decomp.indices[decomp.offsets[1:] - 1], m)
+    y0, x0, y1, x1 = box_bounds(decomp)
     # the [lo, hi] of every subdomain's Y interval, then of every X interval
     bounds = np.column_stack((np.concatenate((y0, x0)), np.concatenate((y1, x1))))
     intervals, interval_of = np.unique(bounds, axis=0, return_inverse=True)

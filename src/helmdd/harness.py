@@ -4,15 +4,20 @@ collects GMRES iteration counts into table rows, and writes CSV reports.
 A sweep cell builds the problem once, classes the subdomains by the
 restrictions of the 1D factors T and W to their two 1D intervals (equal
 restrictions give equal blocks R_i A R_i^T), factorizes one block per
-class, and shares the resulting local solves across all preconditioner
-kinds; the Galerkin coarse problem is built once per coarse kind.
-Nonconverged solves are reported with the literal 'x' in place of the
-iteration count.  Reruns of the same configuration at a fixed BLAS thread
-count produce identical counts; only the timing columns vary.  Cells whose
-residual stagnates near the tolerance (FOCS on MP1, or kappa_H > 1) move by
-a few iterations, or across the cap, under any change of rounding.  Of the
-235 counts of tables 1-4 to k = 100, 6 move with one OpenBLAS thread
-instead of two.  No HOCS cell with kappa_H <= 1 moves.
+class (schwarz.kronecker_blocks picks the form), and shares the resulting
+local solves across all preconditioner kinds; the Galerkin coarse problem
+is built once per coarse kind.  Nonconverged solves are reported with the
+literal 'x' in place of the iteration count.  Reruns of the same
+configuration at a fixed BLAS thread count produce identical counts; only
+the timing columns vary.  Cells whose residual stagnates near the tolerance
+(FOCS on MP1, or kappa_H > 1) move by a few iterations, or across the cap,
+under any change of rounding.  Of the 235 counts of tables 1-4 to k = 100,
+2 move with one OpenBLAS thread instead of two.  Solving table 4's local
+blocks in their Kronecker eigenbasis instead of by dense inverses moved 12
+of its 90 counts by 1 or 2 iterations, all with kappa_H > 2: (k, n) =
+(15, 33), (15, 81), (25, 49), (25, 113), (25, 177), (30, 65), (30, 81),
+(30, 113), (30, 129), (30, 177), (30, 193) and (30, 225).  No HOCS cell
+with kappa_H <= 1 moves.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .coarse import COARSE_KINDS, build_focs, build_hocs, galerkin
 from .decomposition import block_classes, extend, extend_max, local_matrix, partition
 from .discretization import PROBLEMS, Grid, RegimeReport, assemble, regime
 from .gmres import GmresConfig, gmres
-from .schwarz import PRECONDITIONER_KINDS, LocalSolves, SchwarzPreconditioner
+from .schwarz import PRECONDITIONER_KINDS, LocalSolves, SchwarzPreconditioner, kronecker_blocks
 
 
 # relative distance of k^2 from a discrete Dirichlet eigenvalue below which
@@ -248,11 +253,11 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     part = partition(grid, p)
     decomp = extend_max(part) if cfg.overlap == "max" else extend(part, int(cfg.overlap))
     labels, representatives = block_classes(decomp, prob)
-    local_solves = LocalSolves(
-        decomp,
-        labels,
-        [linalg.factorize(local_matrix(decomp, i, prob.A)) for i in representatives],
-    )
+    factored = kronecker_blocks(decomp, prob, representatives)
+    local_solves = LocalSolves(decomp, prob, labels, [
+        linalg.factorize(local_matrix(decomp, i, prob.A)) if F is None else F
+        for i, F in zip(representatives, factored)
+    ])
     builders = {"FOCS": build_focs, "HOCS": build_hocs}
     spaces = {
         ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds

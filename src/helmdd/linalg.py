@@ -6,10 +6,13 @@ partial pivoting on SuperLU's COLAMD column ordering), which handles the
 indefinite symmetric systems produced by the discretization, where a
 Cholesky factorization would fail.
 
-A Kronecker sum A_0 = T(x)W + W(x)T - k^2 W(x)W of small symmetric 1D
-factors is solved by fast diagonalization (Lynch, Rice & Thomas, Numer.
-Math. 6, 1964): with T Q = W Q Lambda and V = (W Q)^{-1},
-A_0^{-1} = (Q(x)Q) D^{-1} (V(x)V), D_ij = lambda_i + lambda_j - k^2.
+A Kronecker sum A = T_y(x)W_x + W_y(x)T_x - k^2 W_y(x)W_x of two small
+symmetric 1D pencils (T_y, W_y) and (T_x, W_x) is solved by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): with
+T Q = W Q Lambda and V = (W Q)^{-1} for each pencil,
+A^{-1} = (Q_y(x)Q_x) D^{-1} (V_y(x)V_x), D_ij = lambda_i + mu_j - k^2.
+The coarse problem is the case of two equal pencils, a large local block
+the case of the pencils of its box's two 1D intervals.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
 # Pivots below this fraction of the largest matrix entry, and eigenvalue sums
-# D_ij below it times max |D|, are treated as singular (a resonant coarse problem).
+# D_ij below it times max |D|, are treated as singular (a resonant problem).
 PIVOT_RTOL = 1e-14
 
 # Largest accepted 2-norm cond(Q); the solve loses about 2 log10(cond(Q)) digits.
-# The 207 coarse problems of tables 1-4 (k <= 200) give cond(Q) = 1.0-30.7.
+# The 207 coarse problems of tables 1-4 (k <= 200) give cond(Q) = 1.0-30.7;
+# the local intervals of table 4 (MP1, W = I) give 1.0.
 EIGENVECTOR_COND_LIMIT = 1e8
 
 
@@ -85,33 +89,51 @@ def solve(F: SparseFactorization, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KroneckerFactorization:
-    """Eigenbasis of T(x)W + W(x)T - k^2 W(x)W: T Q = W Q diag(lambda), V = (W Q)^{-1}."""
+class Eigenbasis:
+    """Generalized eigenpairs of a 1D pencil: T Q = W Q diag(lam), V = (W Q)^{-1}."""
 
+    lam: np.ndarray
     q: np.ndarray
     v: np.ndarray
-    d: np.ndarray  # d[i, j] = lambda_i + lambda_j - k^2
-
-    def solve(self, B: np.ndarray) -> np.ndarray:
-        """Solve A_0 vec(X) = vec(B) for an m-by-m grid array B (row-major vec)."""
-        return self.q @ ((self.v @ B @ self.v.T) / self.d) @ self.q.T
 
 
-def factorize_kronecker(T, W, k: float) -> KroneckerFactorization:
-    """Diagonalize the Kronecker sum of dense symmetric T and real positive definite W.
+def eigenbasis(T, W) -> Eigenbasis:
+    """Eigenbasis of dense symmetric T and real positive definite W.
 
-    Raises SingularMatrixError when cond(Q) exceeds EIGENVECTOR_COND_LIMIT
-    or some |D_ij| falls below PIVOT_RTOL times max |D| (resonant mode (i, j)).
+    Raises SingularMatrixError when cond(Q) exceeds EIGENVECTOR_COND_LIMIT.
     """
     lam, q = (scipy.linalg.eig if np.iscomplexobj(T) else scipy.linalg.eigh)(T, W)
     cond = np.linalg.cond(q)
     if not cond <= EIGENVECTOR_COND_LIMIT:
         raise SingularMatrixError(f"eigenvector matrix has condition number {cond:.3e}")
-    d = lam[:, None] + lam[None, :] - k * k
+    # not Q^T: eig's vectors of MP2's near-equal boundary-mode eigenvalues miss Q^T W Q = I
+    return Eigenbasis(lam=lam, q=q, v=np.linalg.inv(W @ q))
+
+
+@dataclass(frozen=True)
+class KroneckerFactorization:
+    """T_y(x)W_x + W_y(x)T_x - k^2 W_y(x)W_x in the eigenbases y and x of its pencils."""
+
+    y: Eigenbasis
+    x: Eigenbasis
+    d: np.ndarray  # d[i, j] = y.lam[i] + x.lam[j] - k^2
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """Solve A vec(X) = vec(B) for an n_y-by-n_x grid array B (row-major
+        vec), or for every array of a stack B of shape (members, n_y, n_x)."""
+        y, x = self.y, self.x
+        return y.q @ ((y.v @ B @ x.v.T) / self.d) @ x.q.T
+
+
+def factorize_kronecker(y: Eigenbasis, x: Eigenbasis, k: float) -> KroneckerFactorization:
+    """Diagonalize the Kronecker sum of the pencils with eigenbases y and x.
+
+    Raises SingularMatrixError when some |D_ij| falls below PIVOT_RTOL
+    times max |D| (resonant mode (i, j)).
+    """
+    d = y.lam[:, None] + x.lam[None, :] - k * k
     size = np.abs(d) / max(np.abs(d).max(), 1e-300)  # an all-zero D is resonant too
     i, j = np.unravel_index(np.argmin(size), d.shape)
     if size[i, j] < PIVOT_RTOL:
-        raise SingularMatrixError(f"resonant coarse mode (i, j) = ({i}, {j})")
-    # not Q^T: eig's vectors of MP2's near-equal boundary-mode eigenvalues miss Q^T W Q = I
-    return KroneckerFactorization(q=q, v=np.linalg.inv(W @ q), d=d)
-
+        raise SingularMatrixError(f"resonant mode (i, j) = ({i}, {j})")
+    return KroneckerFactorization(y=y, x=x, d=d)

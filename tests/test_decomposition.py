@@ -15,6 +15,7 @@ from helmdd.decomposition import (
 )
 from helmdd.discretization import Grid, assemble
 from helmdd.harness import builtin_table
+from helmdd.schwarz import kronecker_blocks
 
 
 def subdomains(decomp, values=None):
@@ -256,3 +257,16 @@ def test_block_classes_of_the_table_cells():
         labels, representatives = block_classes(dec, assemble(grid, 10.0, problem))
         assert len(representatives) == distinct
         assert np.bincount(labels).sum() == dec.num_subdomains
+    # every class of tables 1-3 keeps its dense inverse, every class of table 4 is factored
+    for which in (1, 2, 3, 4):
+        cfg = builtin_table(which)
+        first_k = {}
+        for k, n in cfg.cells():
+            first_k.setdefault(n, k)
+        for n, k in first_k.items():
+            grid = Grid(n, "dirichlet" if cfg.problem == "MP1" else "sommerfeld")
+            dec = extend_max(partition(grid, (n - 1) // cfg.coarse_ratio))
+            prob = assemble(grid, k, cfg.problem)
+            _, representatives = block_classes(dec, prob)
+            factored = [F is not None for F in kronecker_blocks(dec, prob, representatives)]
+            assert factored == [which == 4] * len(representatives), (which, n)

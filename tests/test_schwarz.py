@@ -1,16 +1,27 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
+from helmdd import schwarz
 from helmdd.coarse import build_focs, build_hocs, coarse_correct, galerkin
-from helmdd.decomposition import extend, extend_max, max_overlap_layers, partition
+from helmdd.decomposition import (
+    block_classes,
+    extend,
+    extend_max,
+    local_matrix,
+    max_overlap_layers,
+    partition,
+)
 from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig, gmres
-from helmdd.linalg import factorize, solve
-from helmdd.schwarz import SchwarzPreconditioner
+from helmdd.linalg import KroneckerFactorization, SingularMatrixError, factorize, solve
+from helmdd.schwarz import SchwarzPreconditioner, kronecker_blocks
 
 
 def make_instance(n, k, problem, p, coarse_kind, ratio, overlap="max", structured=True):
@@ -215,6 +226,87 @@ def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, c
     got = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
     want = reference_apply(kind, prob.A, dec, cs, x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["AS2", "SAS2", "SHS2"])
+@pytest.mark.parametrize("problem", ["MP1", "MP2"])
+def test_factored_blocks_match_loop_over_subdomains(problem, kind):
+    """Boxes of 23 x 23 (MP1) and 24 x 24 (MP2) unknowns take the Kronecker path."""
+    prob, dec, cs = make_instance(33, 8.0, problem, 2, "HOCS", 16)
+    M = SchwarzPreconditioner(kind, prob, dec, cs)
+    assert all(isinstance(solver, KroneckerFactorization) for *_, solver in M.local_solves.classes)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = rng.standard_normal(prob.A.shape[0]).astype(prob.A.dtype)
+        if np.iscomplexobj(x):
+            x += 1j * rng.standard_normal(len(x))
+        want = reference_apply(kind, prob.A, dec, cs, x)
+        assert np.abs(M.apply(x) - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=st.sampled_from(["MP1", "MP2"]),
+    cells=st.integers(8, 16),
+    p=st.integers(1, 3),
+    overlap=st.integers(0, 8),
+    k=st.floats(0.5, 40.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(problem="MP1", cells=16, p=9, overlap=8, k=20.0, seed=0)  # table 4's near-resonant (20, 145)
+def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
+    """Every class, factored whatever its size, solves its local_matrix block.
+
+    The example's 31 x 31 class has min |D| / max |D| = 3.6e-6 and leaves a
+    relative residual of 1e-12.
+    """
+    assume(problem == "MP2" or cells * p % 2 == 0)
+    grid = Grid(cells * p + 1, "dirichlet" if problem == "MP1" else "sommerfeld")
+    prob = assemble(grid, k, problem)
+    part = partition(grid, p)
+    assume(overlap <= max_overlap_layers(part))
+    dec = extend(part, overlap)
+    _, representatives = block_classes(dec, prob)
+    with mock.patch.object(schwarz, "DENSE_BLOCK_MAX_UNKNOWNS", 0):
+        factored = kronecker_blocks(dec, prob, representatives)
+    rng = np.random.default_rng(seed)
+    for i, F in zip(representatives, factored):
+        A_i = local_matrix(dec, i, prob.A)
+        b = rng.standard_normal(F.d.shape).astype(prob.A.dtype)
+        if np.iscomplexobj(b):
+            b += 1j * rng.standard_normal(F.d.shape)
+        x = F.solve(b).ravel()
+        assert np.linalg.norm(A_i @ x - b.ravel()) <= 1e-11 * np.linalg.norm(b)
+
+
+def test_resonant_local_block_is_rejected_by_both_paths():
+    """k^2 = lambda_1 + mu_1 of the 20 x 25 MP1 boxes (Y first, X interior)."""
+    grid = Grid(49, "dirichlet")
+    dec = extend(partition(grid, 3), 5)
+    T = assemble(grid, 1.0, "MP1").T.toarray()  # MP1's T and W = I do not depend on k
+    lam, mu = scipy.linalg.eigvalsh(T[:20, :20])[0], scipy.linalg.eigvalsh(T[:25, :25])[0]
+    prob = assemble(grid, float(np.sqrt(lam + mu)), "MP1")
+    _, representatives = block_classes(dec, prob)
+    resonant = [i for i in representatives if dec.offsets[i + 1] - dec.offsets[i] == 500]
+    assert len(resonant) == 2
+    with pytest.raises(SingularMatrixError, match=r"resonant mode \(i, j\) = \(0, 0\)"):
+        kronecker_blocks(dec, prob, representatives)
+    for i in resonant:
+        with pytest.raises(SingularMatrixError):
+            factorize(local_matrix(dec, i, prob.A))
+
+
+def test_local_solves_from_another_problem_or_decomposition_rejected():
+    grid = Grid(33, "dirichlet")
+    prob5, prob20 = assemble(grid, 5.0, "MP1"), assemble(grid, 20.0, "MP1")
+    dec_max, dec_one = extend_max(partition(grid, 8)), extend(partition(grid, 8), 1)
+    cs = galerkin(build_hocs(grid, 4), prob5)
+    for prob, dec in ((prob20, dec_one), (prob20, dec_max), (prob5, dec_one)):
+        built = SchwarzPreconditioner("SHS2", prob, dec, galerkin(build_hocs(grid, 4), prob)).local_solves
+        with pytest.raises(ValueError, match="another problem or decomposition"):
+            SchwarzPreconditioner("SHS2", prob5, dec_max, cs, local_solves=built)
+    own = SchwarzPreconditioner("SHS2", prob5, dec_max, cs).local_solves
+    SchwarzPreconditioner("AS2", prob5, dec_max, cs, local_solves=own)
 
 
 def test_unknown_kind_rejected():
