@@ -24,11 +24,12 @@ a HelmholtzProblem, A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble)
 and R_0 = P(x)P make A_0 the same Kronecker sum of T_0 = P T P^T and
 W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker
 with the one eigenbasis of (T_0, W_0) in both dimensions).
-The sparse A_0 is assembled from (T_0, W_0) for inspection only.  For a
-bare matrix A, R_0 and A_0 = R_0 A R_0^T are formed sparsely, A_0 checked
-for symmetry and LU-factorized; this is the reference the structured path
-is tested against.  For either solve coarse_correct applies R_0 and R_0^T
-as P X P^T and P^T Y P on the grid vector reshaped to a square.
+The space keeps (T_0, W_0, k), and the sparse A_0 is formed from them on
+access, for inspection; no solve reads it.  For a bare matrix A, R_0 and
+A_0 = R_0 A R_0^T are formed sparsely, A_0 checked for symmetry, stored
+and LU-factorized; this is the reference the structured path is tested
+against.  For either solve coarse_correct applies R_0 and R_0^T as
+P X P^T and P^T Y P on the grid vector reshaped to a square.
 
 The preconditioners built on top are invariant under any invertible
 rescaling of R_0 or P (it cancels in R_0^T (R_0 A R_0^T)^{-1} R_0), so the
@@ -58,12 +59,21 @@ _SYMMETRY_GUARD = 1e-12
 @dataclass(frozen=True)
 class CoarseSpace:
     """The fine grid, the 1D restriction P (R_0 = P(x)P) and, after galerkin,
-    A_0 with its factorization."""
+    the factorization of A_0 and what A_0 is formed from: A_0 itself on the
+    LU reference path, its 1D factors (T_0, W_0, k) on the structured path."""
 
     grid: Grid
     p: sp.csr_matrix
-    a0: sp.csr_matrix | None = None
     a0_factorization: linalg.SparseFactorization | linalg.KroneckerFactorization | None = None
+    a0_source: sp.csr_matrix | tuple | None = None
+
+    @property
+    def a0(self) -> sp.csr_matrix | None:
+        """A_0: the stored matrix on the LU reference path; on the structured
+        path the Kronecker sum of (T_0, W_0, k), formed anew on every access."""
+        if isinstance(self.a0_source, tuple):
+            return kronecker_sum(*self.a0_source)
+        return self.a0_source
 
     @property
     def r0(self) -> sp.csr_matrix:
@@ -114,16 +124,16 @@ def build_hocs(grid: Grid, ratio: int) -> CoarseSpace:
 
 
 def galerkin(cs: CoarseSpace, A: HelmholtzProblem | sp.csr_matrix) -> CoarseSpace:
-    """Attach A_0 = R_0 A R_0^T and its factorization: the Kronecker eigenbasis
-    for a HelmholtzProblem, the sparse LU of the explicit product for a matrix."""
+    """Factorize A_0 = R_0 A R_0^T: in the Kronecker eigenbasis for a
+    HelmholtzProblem, by sparse LU of the explicit product for a matrix."""
     if isinstance(A, HelmholtzProblem):
         if A.grid != cs.grid:
             raise ValueError(f"coarse space is built on {cs.grid}, problem on {A.grid}")
         T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (A.T, A.W))
         T0, W0 = (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
-        a0 = kronecker_sum(T0, W0, A.k)
         basis = linalg.eigenbasis(T0, W0)
-        return replace(cs, a0=a0, a0_factorization=linalg.factorize_kronecker(basis, basis, A.k))
+        factorization = linalg.factorize_kronecker(basis, basis, A.k)
+        return replace(cs, a0_factorization=factorization, a0_source=(T0, W0, A.k))
     r0 = cs.r0
     if r0.shape[1] != A.shape[0]:
         raise ValueError(
@@ -135,7 +145,7 @@ def galerkin(cs: CoarseSpace, A: HelmholtzProblem | sp.csr_matrix) -> CoarseSpac
         raise ValueError("Galerkin product lost symmetry; A is not symmetric")
     a0 = ((B + B.T) * 0.5).tocsr()
     a0.sort_indices()
-    return replace(cs, a0=a0, a0_factorization=linalg.factorize(a0))
+    return replace(cs, a0_factorization=linalg.factorize(a0), a0_source=a0)
 
 
 def coarse_correct(cs: CoarseSpace, r: np.ndarray) -> np.ndarray:

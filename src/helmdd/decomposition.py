@@ -130,12 +130,6 @@ def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matr
     return A[idx][:, idx]
 
 
-def _restricted(M: sp.csr_matrix, lo: int, hi: int) -> tuple:
-    """The CSR arrays of M[lo:hi+1, lo:hi+1], as bytes."""
-    block = M[lo:hi + 1, lo:hi + 1]
-    return block.indptr.tobytes(), block.indices.tobytes(), block.data.tobytes()
-
-
 def box_bounds(decomp: Decomposition) -> tuple:
     """(y0, x0, y1, x1): the first and last unknown row and column of every
     subdomain's box, read from its own first and last stacked index."""
@@ -155,25 +149,28 @@ def block_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     and last stacked index, and its block is the Kronecker sum
     T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X of the restrictions of the 1D
     factors T and W of problem (discretization.assemble).  Each distinct 1D
-    interval is classed by the stored entries of T and W on it, compared
-    bit for bit, and a subdomain's class is its (Y class, X class) pair, so
-    every member's local_matrix equals its representative's.  Distinct
-    pairs can still give equal blocks (an MP1 box of width 1 and its
-    transpose); they stay separate classes.
+    interval, keyed by its bounds, is classed by the entries of T and W on
+    it, compared bit for bit, and a subdomain's class is its (Y class,
+    X class) pair, so every member's local_matrix equals its
+    representative's.  Distinct pairs can still give equal blocks (an MP1
+    box of width 1 and its transpose); they stay separate classes.
     """
     if np.diff(decomp.offsets).min() < 1:
         raise ValueError("an empty subdomain has no block")
     y0, x0, y1, x1 = box_bounds(decomp)
-    # the [lo, hi] of every subdomain's Y interval, then of every X interval
-    bounds = np.column_stack((np.concatenate((y0, x0)), np.concatenate((y1, x1))))
-    intervals, interval_of = np.unique(bounds, axis=0, return_inverse=True)
-    T, W = sp.csr_matrix(problem.T), sp.csr_matrix(problem.W)
+    m = decomp.grid.unknowns_per_dim
+    # every subdomain's Y interval [lo, hi], then every X interval, keyed lo * m + hi
+    keys = np.concatenate((y0 * m + y1, x0 * m + x1))
+    intervals, interval_of = np.unique(keys, return_inverse=True)
+    T, W = problem.T.toarray(), problem.W.toarray()
     content: dict = {}
     interval_class = np.array([
-        content.setdefault(_restricted(T, lo, hi) + _restricted(W, lo, hi), len(content))
-        for lo, hi in intervals
+        content.setdefault(
+            T[lo:hi + 1, lo:hi + 1].tobytes() + W[lo:hi + 1, lo:hi + 1].tobytes(), len(content)
+        )
+        for lo, hi in zip(*np.divmod(intervals, m))
     ])
-    y_class, x_class = interval_class[interval_of.ravel()].reshape(2, -1)
+    y_class, x_class = interval_class[interval_of].reshape(2, -1)
     pairs = y_class * len(content) + x_class
     _, members, label = np.unique(pairs, return_index=True, return_inverse=True)
     # number the classes by their first member, in stack order

@@ -252,16 +252,19 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     prob = assemble(grid, k, cfg.problem)
     part = partition(grid, p)
     decomp = extend_max(part) if cfg.overlap == "max" else extend(part, int(cfg.overlap))
+    # coarse spaces first: after galerkin's LAPACK calls scipy's OpenBLAS workers
+    # spin for a while and slow numpy's BLAS threads; the local setup, not
+    # GMRES, then runs in that window
+    builders = {"FOCS": build_focs, "HOCS": build_hocs}
+    spaces = {
+        ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds
+    }
     labels, representatives = block_classes(decomp, prob)
     factored = kronecker_blocks(decomp, prob, representatives)
     local_solves = LocalSolves(decomp, prob, labels, [
         linalg.factorize(local_matrix(decomp, i, prob.A)) if F is None else F
         for i, F in zip(representatives, factored)
     ])
-    builders = {"FOCS": build_focs, "HOCS": build_hocs}
-    spaces = {
-        ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds
-    }
     setup_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()

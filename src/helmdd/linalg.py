@@ -101,9 +101,16 @@ def eigenbasis(T, W) -> Eigenbasis:
     """Eigenbasis of dense symmetric T and real positive definite W.
 
     Raises SingularMatrixError when cond(Q) exceeds EIGENVECTOR_COND_LIMIT.
+    The guard's singular values come from scipy's LAPACK, which just solved
+    the eigenproblem: numpy's own BLAS threads, started while scipy's idle
+    workers still spin, took 4-8 ms for np.linalg.cond(Q) of MP2's 101 x 101
+    coarse Q at k = 100 in most fresh processes but up to 91 ms in others,
+    against a steady 7-9 ms for svdvals (2 cores, both OpenBLAS at 2 threads).
     """
     lam, q = (scipy.linalg.eig if np.iscomplexobj(T) else scipy.linalg.eigh)(T, W)
-    cond = np.linalg.cond(q)
+    sv = scipy.linalg.svdvals(q)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a singular Q gives inf or nan
+        cond = sv[0] / sv[-1]
     if not cond <= EIGENVECTOR_COND_LIMIT:
         raise SingularMatrixError(f"eigenvector matrix has condition number {cond:.3e}")
     # not Q^T: eig's vectors of MP2's near-equal boundary-mode eigenvalues miss Q^T W Q = I

@@ -222,7 +222,7 @@ def test_criterion_10_scaling_invariances():
     prob = assemble(g, 10.0, "MP1")
     dec = extend_max(partition(g, 8))
     cs = galerkin(build_hocs(g, 4), prob.A)
-    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0=None, a0_factorization=None), prob.A)
+    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0_factorization=None), prob.A)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(g.num_unknowns)
     worst = 0.0

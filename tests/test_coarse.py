@@ -240,7 +240,7 @@ def test_rescaled_p_gives_same_correction(structured):
     prob = assemble(g, 5.0, "MP1")
     operator = prob if structured else prob.A
     cs = galerkin(build_hocs(g, 4), operator)
-    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0=None, a0_factorization=None), operator)
+    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0_factorization=None), operator)
     rng = np.random.default_rng(9)
     r = rng.standard_normal(g.num_unknowns)
     a, b = coarse_correct(cs, r), coarse_correct(scaled, r)

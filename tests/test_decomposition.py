@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -195,7 +196,59 @@ def test_local_matrices_are_principal_submatrices():
         assert np.array_equal(local_matrix(dec, i, prob.A).toarray(), expected)
 
 
+def reference_block_classes(dec, prob):
+    """block_classes as first written: each interval keyed by the CSR arrays
+    of T and W sliced to it, the intervals found by a 2D np.unique of their
+    (lo, hi) bounds."""
+    m = dec.grid.unknowns_per_dim
+    y0, x0 = np.divmod(dec.indices[dec.offsets[:-1]], m)
+    y1, x1 = np.divmod(dec.indices[dec.offsets[1:] - 1], m)
+    bounds = np.column_stack((np.concatenate((y0, x0)), np.concatenate((y1, x1))))
+    intervals, interval_of = np.unique(bounds, axis=0, return_inverse=True)
+    T, W = sp.csr_matrix(prob.T), sp.csr_matrix(prob.W)
+
+    def restricted(M, lo, hi):
+        block = M[lo:hi + 1, lo:hi + 1]
+        return block.indptr.tobytes(), block.indices.tobytes(), block.data.tobytes()
+
+    content = {}
+    interval_class = np.array([
+        content.setdefault(restricted(T, lo, hi) + restricted(W, lo, hi), len(content))
+        for lo, hi in intervals
+    ])
+    y_class, x_class = interval_class[interval_of.ravel()].reshape(2, -1)
+    pairs = y_class * len(content) + x_class
+    _, members, label = np.unique(pairs, return_index=True, return_inverse=True)
+    order = np.argsort(members)
+    return np.argsort(order)[label.ravel()], members[order]
+
+
+def assert_classes_match_reference(dec, prob):
+    labels, representatives = block_classes(dec, prob)
+    want_labels, want_representatives = reference_block_classes(dec, prob)
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(representatives, want_representatives)
+
+
+def test_block_classes_match_reference_on_table_layouts():
+    """The bounds-keyed classing reproduces the reference on every table layout
+    of k <= 100 (at the first k of each n) and on the benchmark's cells."""
+    layouts = [("MP2", 401, 100, 100.0), ("MP1", 321, 80, 80.0), ("MP1", 257, 16, 5.0)]
+    for which in (1, 2, 3, 4):
+        cfg = builtin_table(which)
+        first_k = {}
+        for k, n in cfg.cells():
+            if k <= 100:
+                first_k.setdefault(n, k)
+        layouts += [(cfg.problem, n, (n - 1) // cfg.coarse_ratio, k) for n, k in first_k.items()]
+    assert len(layouts) == 3 + 42
+    for problem, n, p, k in layouts:
+        grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
+        assert_classes_match_reference(extend_max(partition(grid, p)), assemble(grid, k, problem))
+
+
 def assert_classes_group_identical_blocks(dec, prob):
+    assert_classes_match_reference(dec, prob)
     labels, representatives = block_classes(dec, prob)
     assert len(labels) == dec.num_subdomains
     assert len(representatives) <= 9

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from helmdd.linalg import SingularMatrixError, factorize, solve
+from helmdd.linalg import SingularMatrixError, eigenbasis, factorize, solve
 
 
 def test_factorize_diagonal():
@@ -105,3 +108,18 @@ def test_fill_stays_within_recorded_bound():
     F = factorize(A)
     # fill-reducing ordering keeps the factors far from dense
     assert F.fill_nnz < 0.5 * A.shape[0] ** 2
+
+
+@pytest.mark.parametrize(
+    "q",
+    [np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros((2, 2))],
+    ids=["zero-column", "all-zero"],
+)
+def test_singular_eigenvectors_are_rejected_without_warning(monkeypatch, q):
+    """A rank-deficient Q has a zero smallest singular value; the guard
+    reports it as an infinite (or undefined) condition number, not x/0."""
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda T, W: (np.array([1.0, 2.0]), q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            eigenbasis(np.diag([1.0, 2.0]), np.eye(2))

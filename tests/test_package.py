@@ -4,10 +4,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import helmdd
 import helmdd.cli
+from helmdd.discretization import kronecker_sum
 
 
 def test_star_import_resolves_every_export():
@@ -70,6 +72,26 @@ def test_experiment_never_forms_r0(monkeypatch):
         raise AssertionError("R_0 formed")
 
     monkeypatch.setattr(helmdd.coarse.CoarseSpace, "r0", property(refuse))
+    assert [r.iterations for r in helmdd.run_experiment(cfg)] == expected
+
+
+def test_structured_galerkin_never_assembles_a0(monkeypatch):
+    """The harness never forms the sparse A_0; on access it is kronecker_sum(T_0, W_0, k)."""
+    cfg = mp2_k20_config(("AS2", "SAS2", "SHS2"))
+    expected = [r.iterations for r in helmdd.run_experiment(cfg)]
+    grid = helmdd.Grid(81, "sommerfeld")
+    prob = helmdd.assemble(grid, 20.0, "MP2")
+    cs = helmdd.galerkin(helmdd.build_hocs(grid, 4), prob)
+    T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (prob.T, prob.W))
+    want = kronecker_sum((T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5, prob.k)
+    got = cs.a0
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+    def refuse(*args):
+        raise AssertionError("A_0 assembled")
+
+    monkeypatch.setattr(helmdd.coarse, "kronecker_sum", refuse)
     assert [r.iterations for r in helmdd.run_experiment(cfg)] == expected
 
 

@@ -160,7 +160,7 @@ def test_rescaling_coarse_operator_changes_nothing(kind):
     from dataclasses import replace
 
     prob, dec, cs = make_instance(13, 5.0, "MP2", 3, "HOCS", 4)
-    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0=None, a0_factorization=None), prob)
+    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0_factorization=None), prob)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(prob.A.shape[0]) + 1j * rng.standard_normal(prob.A.shape[0])
     a = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
