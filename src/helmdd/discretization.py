@@ -129,7 +129,12 @@ def regime(k: float, h: float, H: float) -> RegimeReport:
 
 
 def kronecker_sum(T, W, k: float) -> sp.csr_matrix:
-    """T(x)W + W(x)T - k^2 W(x)W of the 1D factors T and W, as sorted CSR."""
+    """T(x)W + W(x)T - k^2 W(x)W of the 1D factors T and W, as sorted CSR.
+
+    The general builder, for any sparse or dense T and W.  CoarseSpace.a0
+    forms A_0 with it from the coarse factors T_0 and W_0, which are not
+    tridiagonal, and the tests take it as the reference for assemble.
+    """
     A = sp.csr_matrix(sp.kron(T, W) + sp.kron(W, T) - k**2 * sp.kron(W, W))
     A.sort_indices()
     return A
@@ -139,10 +144,19 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     """Assemble the system matrix and point-source load vector.
 
     Both problems are the Kronecker sum A = T(x)W + W(x)T - k^2 W(x)W of 1D
-    factors on the unknowns of a grid line: T is the second difference
+    factors on the m unknowns of a grid line: T is the second difference
     (-1, 2, -1)/h^2 and W = I for MP1; for MP2 the ghost-point Sommerfeld
     end rows, halved, make T's end diagonal 1/h^2 - ik/h, and W halves the
     end nodes.  This keeps assembly vectorized and makes symmetry structural.
+
+    With T tridiagonal and W = diag(w), A has five bands, at offsets -m, -1,
+    0, 1 and m.  Unknown i*m + j (grid line i, node j) has the main entry
+    (t_i w_j + w_i t_j) - k^2 (w_i w_j) for t = diag(T), the +-1 entries
+    w_i T[j, j+-1], none where the band crosses from one grid line to the
+    next, and the +-m entries T[i, i+-1] w_j.  A is filled band by band
+    from these outer products, in the same floating-point operations as
+    kronecker_sum(T, W, k), and is the same CSR matrix bit for bit: zero
+    entries dropped, indices sorted.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {PROBLEMS}")
@@ -161,7 +175,21 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
         weights[[0, -1]] = 0.5
     off = np.full(m - 1, -1.0 / h**2)
     T, W = sp.diags([off, diagonal, off], [-1, 0, 1], format="csr"), sp.diags(weights)
-    A = kronecker_sum(T, W, k)
+    # T[j+1, j] and T[j-1, j] at node j, zero where the neighbour is off the line
+    lower, upper = np.append(off, 0), np.insert(off, 0, 0)
+    bands = np.empty((5, m, m), dtype=T.dtype)  # band d at grid line i, node j
+    np.multiply.outer(lower, weights, out=bands[0])
+    np.multiply.outer(weights, lower, out=bands[1])
+    np.multiply.outer(diagonal, weights, out=bands[2])
+    bands[2] += np.multiply.outer(weights, diagonal)
+    bands[2] -= k**2 * np.multiply.outer(weights, weights)
+    np.multiply.outer(weights, upper, out=bands[3])
+    np.multiply.outer(upper, weights, out=bands[4])
+    bands, offsets = bands.reshape(5, m * m), [-m, -1, 0, 1, m]
+    if m == 1:  # one unknown: the +-1 and +-m offsets coincide and their bands are empty
+        bands, offsets = bands[2:3], [0]
+    # dia_matrix keeps A[c - offsets[d], c] at bands[d, c]
+    A = sp.dia_matrix((bands, offsets), shape=(m * m, m * m)).tocsr()
     f = np.zeros(grid.num_unknowns, dtype=A.dtype)
     # node nearest (1/2, 1/2); exact center for odd n
     c = (n - 1) // 2

@@ -106,6 +106,10 @@ def eigenbasis(T, W) -> Eigenbasis:
     workers still spin, took 4-8 ms for np.linalg.cond(Q) of MP2's 101 x 101
     coarse Q at k = 100 in most fresh processes but up to 91 ms in others,
     against a steady 7-9 ms for svdvals (2 cores, both OpenBLAS at 2 threads).
+    That moves the stall rather than avoiding it: np.linalg.inv(W Q) below
+    then takes 1-2 ms in most such processes and 65-105 ms in some.  Its
+    scipy counterpart is not bit-identical on real pencils (the two packages
+    ship different OpenBLAS builds), so it stays in numpy.
     """
     lam, q = (scipy.linalg.eig if np.iscomplexobj(T) else scipy.linalg.eigh)(T, W)
     sv = scipy.linalg.svdvals(q)

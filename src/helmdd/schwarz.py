@@ -54,7 +54,14 @@ eigenvalue sums, and each distinct interval of n nodes 2 n^2 + n numbers:
 inverses took 17.8 MB.  The Decomposition holds the stacked indices once,
 8 bytes per subdomain entry (15.6 MB for MP2 at k = 200, 1.95 million
 entries), plus the N node multiplicities (5.1 MB), and LocalSolves keeps a
-class-ordered copy of the indices only (another 15.6 MB).
+class-ordered copy of the indices only (another 15.6 MB).  Between applies
+LocalSolves also keeps two work buffers of that length, the gathered
+entries and their class products: 2 x gather length x itemsize, 15.6 MB
+for MP2 at k = 100 and 62.5 MB at k = 200.  Allocated per apply, buffers
+of that size are mapped and unmapped every time unless some larger freed
+block has raised glibc's mmap threshold.  Complex products are scattered
+by one bincount over their real and imaginary parts, through the
+interleaved indices 2g, 2g + 1 (another 31.2 MB at k = 200).
 """
 
 from __future__ import annotations
@@ -133,11 +140,21 @@ class LocalSolves:
             self.classes.append((start, stop, solver))
             start = stop
         self.gather = np.concatenate(gather)
+        self._work = None  # the gathered entries and their class products, kept between applies
+        self._gather_interleaved = None  # 2g, 2g+1 for each g in gather, for complex products
 
     def add_to(self, x: np.ndarray, out: np.ndarray, weighted: bool):
-        """Accumulate the one-level term applied to x into out."""
-        xs = x[self.gather]
-        ys = np.empty(len(xs), dtype=np.result_type(xs.dtype, self.problem.A.dtype))
+        """Accumulate the one-level term applied to x into out.
+
+        Works in two buffers of the gather's length, allocated on the first
+        call and again when x's dtype changes, so one LocalSolves must not be
+        applied from two threads at once.
+        """
+        if self._work is None or self._work[0].dtype != x.dtype:
+            dtype = np.result_type(x.dtype, self.problem.A.dtype)
+            self._work = np.empty(len(self.gather), x.dtype), np.empty(len(self.gather), dtype)
+        xs, ys = self._work
+        np.take(x, self.gather, out=xs, mode="clip")  # "raise" would buffer out in a temporary
         for start, stop, solver in self.classes:
             if isinstance(solver, linalg.KroneckerFactorization):
                 ys[start:stop] = solver.solve(xs[start:stop].reshape(-1, *solver.d.shape)).ravel()
@@ -145,16 +162,23 @@ class LocalSolves:
                 s = len(solver)
                 np.matmul(xs[start:stop].reshape(-1, s), solver.T, out=ys[start:stop].reshape(-1, s))
         n = len(self.decomposition.multiplicity)
-        total = np.bincount(self.gather, weights=ys.real, minlength=n)
         if np.iscomplexobj(ys):
-            total = total + 1j * np.bincount(self.gather, weights=ys.imag, minlength=n)
+            # the real and imaginary parts scattered in one pass, each sum in the same order
+            if self._gather_interleaved is None:
+                self._gather_interleaved = (2 * self.gather[:, None] + np.arange(2)).ravel()
+            total = np.bincount(
+                self._gather_interleaved, weights=ys.view(np.float64), minlength=2 * n
+            ).view(np.complex128)
+        else:
+            total = np.bincount(self.gather, weights=ys, minlength=n)
         if weighted:
             total /= self.decomposition.multiplicity
         out += total
 
 
 class SchwarzPreconditioner:
-    """Immutable after construction; apply() is safe for concurrent reads."""
+    """Fixed after construction, but apply() works in its LocalSolves' buffers:
+    one LocalSolves must not be applied from two threads at once."""
 
     def __init__(
         self,

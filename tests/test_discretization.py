@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helmdd.discretization import (
     Grid,
     ResonantWavenumberError,
     analytical_mp1,
     assemble,
+    kronecker_sum,
     regime,
 )
 from helmdd.linalg import factorize, solve
@@ -129,6 +133,48 @@ def test_assembled_matrix_exactly_symmetric(n, k, problem, bc):
     A = assemble(Grid(n, bc), k, problem).A
     skew = abs(A - A.T)
     assert skew.nnz == 0 or skew.max() == 0.0
+
+
+def assert_same_csr(got, want):
+    assert got.dtype == want.dtype
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype, attr
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+    assert got.has_sorted_indices == want.has_sorted_indices
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cell=st.one_of(
+        st.tuples(st.just("MP1"), st.integers(1, 20).map(lambda i: 2 * i + 1)),
+        st.tuples(st.just("MP2"), st.integers(3, 40)),
+    ),
+    k=st.floats(0.0, 80.0),
+)
+@example(cell=("MP1", 3), k=5.0)  # one unknown: the +-1 and +-m offsets coincide
+@example(cell=("MP1", 5), k=8.0)  # the diagonal 4 * 16 - 8^2 is exactly 0
+@example(cell=("MP2", 3), k=0.0)
+def test_banded_assembly_matches_kronecker_sum(cell, k):
+    problem, n = cell
+    prob = assemble(Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld"), k, problem)
+    assert_same_csr(prob.A, kronecker_sum(prob.T, prob.W, k))
+
+
+def test_exactly_zero_diagonal_is_dropped():
+    A = assemble(Grid(5, "dirichlet"), 8.0, "MP1").A
+    assert A.nnz == 24 and not A.diagonal().any()
+
+
+def test_assemble_never_calls_kron(monkeypatch):
+    cells = [(Grid(9, "dirichlet"), 5.0, "MP1"), (Grid(8, "sommerfeld"), 3.0, "MP2")]
+    want = [kronecker_sum(prob.T, prob.W, prob.k) for prob in (assemble(*c) for c in cells)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sp.kron called")
+
+    monkeypatch.setattr(sp, "kron", refuse)
+    for c, A in zip(cells, want):
+        assert_same_csr(assemble(*c).A, A)
 
 
 class TestAnalyticalMP1:

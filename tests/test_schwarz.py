@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,74 @@ def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
             b += 1j * rng.standard_normal(F.d.shape)
         x = F.solve(b).ravel()
         assert np.linalg.norm(A_i @ x - b.ravel()) <= 1e-11 * np.linalg.norm(b)
+
+
+def unbuffered_add_to(local_solves, x, out, weighted):
+    """LocalSolves.add_to with fresh arrays: x[gather], then one real bincount per part."""
+    xs = x[local_solves.gather]
+    ys = np.empty(len(xs), dtype=np.result_type(xs.dtype, local_solves.problem.A.dtype))
+    for start, stop, solver in local_solves.classes:
+        if isinstance(solver, KroneckerFactorization):
+            ys[start:stop] = solver.solve(xs[start:stop].reshape(-1, *solver.d.shape)).ravel()
+        else:
+            s = len(solver)
+            np.matmul(xs[start:stop].reshape(-1, s), solver.T, out=ys[start:stop].reshape(-1, s))
+    n = len(local_solves.decomposition.multiplicity)
+    total = np.bincount(local_solves.gather, weights=ys.real, minlength=n)
+    if np.iscomplexobj(ys):
+        total = total + 1j * np.bincount(local_solves.gather, weights=ys.imag, minlength=n)
+    if weighted:
+        total /= local_solves.decomposition.multiplicity
+    out += total
+
+
+def assert_add_to_bit_identical(local_solves, x):
+    for weighted in (False, True):
+        got = np.zeros(len(x), np.result_type(x.dtype, local_solves.problem.A.dtype))
+        want = got.copy()
+        local_solves.add_to(x, got, weighted)
+        unbuffered_add_to(local_solves, x, want, weighted)
+        assert got.tobytes() == want.tobytes()
+
+
+def random_vector(rng, n, dtype):
+    x = rng.standard_normal(n).astype(dtype)
+    if np.iscomplexobj(x):
+        x += 1j * rng.standard_normal(n)
+    return x
+
+
+def test_buffered_add_to_allocates_less_than_one_gathered_vector():
+    """A second add_to reuses its buffers; x[gather] alone would take len(gather) * 16 bytes."""
+    prob, dec, cs = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
+    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    x = random_vector(np.random.default_rng(0), prob.A.shape[0], complex)
+    out = np.zeros_like(x)
+    local_solves.add_to(x, out, weighted=True)
+    tracemalloc.start()
+    try:
+        local_solves.add_to(x, out, weighted=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(local_solves.gather) * 16
+
+
+def test_buffered_add_to_is_bit_identical_on_mp2():
+    prob, dec, cs = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
+    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        assert_add_to_bit_identical(local_solves, random_vector(rng, prob.A.shape[0], complex))
+
+
+@pytest.mark.parametrize("p, ratio", [(4, 4), (2, 16)])  # dense classes; Kronecker classes
+def test_buffered_add_to_is_bit_identical_across_a_dtype_switch(p, ratio):
+    prob, dec, cs = make_instance(33, 8.0, "MP1", p, "HOCS", ratio)
+    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    rng = np.random.default_rng(2)
+    for dtype in (complex, float, complex):
+        assert_add_to_bit_identical(local_solves, random_vector(rng, prob.A.shape[0], dtype))
 
 
 def test_resonant_local_block_is_rejected_by_both_paths():
