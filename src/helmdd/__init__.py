@@ -8,7 +8,6 @@ from .decomposition import (
     Partition,
     extend,
     extend_max,
-    local_matrix,
     max_overlap_layers,
     partition,
 )
@@ -31,7 +30,7 @@ from .harness import (
     run_experiment,
     validate_config,
 )
-from .linalg import SingularMatrixError, SparseFactorization, factorize, solve
+from .linalg import SingularMatrixError
 from .schwarz import SchwarzPreconditioner
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "SchwarzPreconditioner",
     "SingularMatrixError",
     "SolveReport",
-    "SparseFactorization",
     "TableRow",
     "analytical_mp1",
     "assemble",
@@ -58,16 +56,13 @@ __all__ = [
     "emit_csv",
     "extend",
     "extend_max",
-    "factorize",
     "galerkin",
     "gmres",
-    "local_matrix",
     "max_overlap_layers",
     "parse_config",
     "partition",
     "regime",
     "run_experiment",
-    "solve",
     "validate_config",
 ]
 

@@ -13,23 +13,21 @@ Two coarse spaces on the coarse grid with spacing H = ratio * h:
 Both come from one 1D builder that centers a tap vector at every step-th
 node of a line and composes levels: FOCS passes the hat taps 1 - |d|/r at
 step r for one level, HOCS the Bezier taps at step 2 for log2(r) levels.
-A CoarseSpace stores only this 1D operator P; R_0 = P(x)P is derived from
-it on demand.  Stencil taps falling outside the line are dropped (zero
-padding).  On Dirichlet grids the unknown set at every level consists of
-the interior nodes, so coarse basis functions attached to boundary coarse
-nodes are excluded, mirroring the fine-grid convention.
+A CoarseSpace stores only this 1D operator P.  Stencil taps falling
+outside the line are dropped (zero padding).  On Dirichlet grids the
+unknown set at every level consists of the interior nodes, so coarse basis
+functions attached to boundary coarse nodes are excluded, mirroring the
+fine-grid convention.
 
-galerkin picks the coarse solve from the type of its second argument.  For
-a HelmholtzProblem, A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble)
-and R_0 = P(x)P make A_0 the same Kronecker sum of T_0 = P T P^T and
+galerkin forms the coarse problem of a HelmholtzProblem.  Its matrix
+A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble) and R_0 = P(x)P
+make A_0 = R_0 A R_0^T the same Kronecker sum of T_0 = P T P^T and
 W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker
-with the one eigenbasis of (T_0, W_0) in both dimensions).
-The space keeps (T_0, W_0, k), and the sparse A_0 is formed from them on
-access, for inspection; no solve reads it.  For a bare matrix A, R_0 and
-A_0 = R_0 A R_0^T are formed sparsely, A_0 checked for symmetry, stored
-and LU-factorized; this is the reference the structured path is tested
-against.  For either solve coarse_correct applies R_0 and R_0^T as
-P X P^T and P^T Y P on the grid vector reshaped to a square.
+with the one eigenbasis of (T_0, W_0) in both dimensions).  The space keeps
+(T_0, W_0, k), and the sparse A_0 is formed from them on access, for
+inspection; no solve reads it.  coarse_correct applies R_0 and R_0^T as
+P X P^T and P^T Y P on the grid vector reshaped to a square, so R_0 is
+never formed.
 
 The preconditioners built on top are invariant under any invertible
 rescaling of R_0 or P (it cancels in R_0^T (R_0 A R_0^T)^{-1} R_0), so the
@@ -51,36 +49,22 @@ COARSE_KINDS = ("FOCS", "HOCS")
 # one-level 1D Bezier restriction stencil, centered at every second fine node
 _BEZIER_TAPS = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 8.0
 
-# Guard for the symmetrization of the computed Galerkin product; genuine
-# asymmetry beyond rounding noise indicates a broken R_0 or A.
-_SYMMETRY_GUARD = 1e-12
-
 
 @dataclass(frozen=True)
 class CoarseSpace:
     """The fine grid, the 1D restriction P (R_0 = P(x)P) and, after galerkin,
-    the factorization of A_0 and what A_0 is formed from: A_0 itself on the
-    LU reference path, its 1D factors (T_0, W_0, k) on the structured path."""
+    the eigenbasis factorization of A_0 and the 1D factors (T_0, W_0, k) it
+    was computed from."""
 
     grid: Grid
     p: sp.csr_matrix
-    a0_factorization: linalg.SparseFactorization | linalg.KroneckerFactorization | None = None
-    a0_source: sp.csr_matrix | tuple | None = None
+    a0_factorization: linalg.KroneckerFactorization | None = None
+    a0_factors: tuple | None = None
 
     @property
     def a0(self) -> sp.csr_matrix | None:
-        """A_0: the stored matrix on the LU reference path; on the structured
-        path the Kronecker sum of (T_0, W_0, k), formed anew on every access."""
-        if isinstance(self.a0_source, tuple):
-            return kronecker_sum(*self.a0_source)
-        return self.a0_source
-
-    @property
-    def r0(self) -> sp.csr_matrix:
-        """The 2D restriction R_0 = P(x)P, formed anew on every access."""
-        r0 = sp.kron(self.p, self.p, format="csr")
-        r0.sort_indices()
-        return r0
+        """A_0, the Kronecker sum of (T_0, W_0, k), formed anew on every access."""
+        return None if self.a0_factors is None else kronecker_sum(*self.a0_factors)
 
 
 def _check_ratio(grid: Grid, ratio: int, powers_of_two: bool):
@@ -123,29 +107,17 @@ def build_hocs(grid: Grid, ratio: int) -> CoarseSpace:
     return CoarseSpace(grid=grid, p=_restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio))))
 
 
-def galerkin(cs: CoarseSpace, A: HelmholtzProblem | sp.csr_matrix) -> CoarseSpace:
-    """Factorize A_0 = R_0 A R_0^T: in the Kronecker eigenbasis for a
-    HelmholtzProblem, by sparse LU of the explicit product for a matrix."""
-    if isinstance(A, HelmholtzProblem):
-        if A.grid != cs.grid:
-            raise ValueError(f"coarse space is built on {cs.grid}, problem on {A.grid}")
-        T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (A.T, A.W))
-        T0, W0 = (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
-        basis = linalg.eigenbasis(T0, W0)
-        factorization = linalg.factorize_kronecker(basis, basis, A.k)
-        return replace(cs, a0_factorization=factorization, a0_source=(T0, W0, A.k))
-    r0 = cs.r0
-    if r0.shape[1] != A.shape[0]:
-        raise ValueError(
-            f"coarse operator expects {r0.shape[1]} fine unknowns, matrix has {A.shape[0]}"
-        )
-    B = sp.csr_matrix(r0 @ A @ r0.T)
-    skew = abs(B - B.T)
-    if skew.nnz and skew.max() > _SYMMETRY_GUARD * max(abs(B).max(), 1e-300):
-        raise ValueError("Galerkin product lost symmetry; A is not symmetric")
-    a0 = ((B + B.T) * 0.5).tocsr()
-    a0.sort_indices()
-    return replace(cs, a0_factorization=linalg.factorize(a0), a0_source=a0)
+def galerkin(cs: CoarseSpace, problem: HelmholtzProblem) -> CoarseSpace:
+    """Factorize A_0 = R_0 A R_0^T of problem in its Kronecker eigenbasis."""
+    if not isinstance(problem, HelmholtzProblem):
+        raise TypeError(f"galerkin takes a HelmholtzProblem, got {type(problem).__name__}")
+    if problem.grid != cs.grid:
+        raise ValueError(f"coarse space is built on {cs.grid}, problem on {problem.grid}")
+    T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (problem.T, problem.W))
+    T0, W0 = (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
+    basis = linalg.eigenbasis(T0, W0)
+    factorization = linalg.factorize_kronecker(basis, basis, problem.k)
+    return replace(cs, a0_factorization=factorization, a0_factors=(T0, W0, problem.k))
 
 
 def coarse_correct(cs: CoarseSpace, r: np.ndarray) -> np.ndarray:
@@ -154,9 +126,5 @@ def coarse_correct(cs: CoarseSpace, r: np.ndarray) -> np.ndarray:
         raise ValueError("coarse matrix not factorized; call galerkin() first")
     p, m = cs.p, cs.p.shape[1]
     # on row-major grid arrays R_0 x is P X P^T and R_0^T y is P^T Y P
-    B = (p @ (p @ r.reshape(m, m)).T).T
-    if isinstance(cs.a0_factorization, linalg.SparseFactorization):
-        Y = linalg.solve(cs.a0_factorization, B.ravel()).reshape(B.shape)
-    else:
-        Y = cs.a0_factorization.solve(B)
+    Y = cs.a0_factorization.solve((p @ (p @ r.reshape(m, m)).T).T)
     return (p.T @ (p.T @ Y).T).T.ravel()

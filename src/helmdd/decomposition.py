@@ -20,9 +20,9 @@ exact binary fractions).
 
 A Decomposition stores its subdomains stacked, 8 bytes per subdomain entry
 (an int64 index) plus the N node multiplicities: subdomain i = ay*p + ax is
-the sorted indices[offsets[i]:offsets[i+1]], and the weights D_i, aligned
-with indices, are derived from the multiplicity on demand.  extend() builds
-the arrays from the p clipped 1D node ranges by broadcasting.
+the sorted indices[offsets[i]:offsets[i+1]], and the diagonal of D_i is
+1/multiplicity at those indices.  extend() builds the arrays from the p
+clipped 1D node ranges by broadcasting.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ class Decomposition:
     @property
     def num_subdomains(self) -> int:
         return self.p * self.p
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The diagonals of every D_i, aligned with indices."""
-        return 1.0 / self.multiplicity[self.indices]
 
 
 def _intervals(grid: Grid, p: int, m: int):

@@ -1,10 +1,11 @@
 """Direct solvers: sparse LU and the eigenbasis of a Kronecker sum.
 
-Matrices are scipy CSR/CSC matrices over float64 or complex128; the same
-code path serves both scalar kinds. Factorization is SuperLU (LU with
-partial pivoting on SuperLU's COLAMD column ordering), which handles the
-indefinite symmetric systems produced by the discretization, where a
-Cholesky factorization would fail.
+Sparse LU serves the local blocks of at most
+schwarz.DENSE_BLOCK_MAX_UNKNOWNS unknowns, scipy CSR/CSC matrices over
+float64 or complex128; the same code path serves both scalar kinds.
+Factorization is SuperLU (LU with partial pivoting on SuperLU's COLAMD
+column ordering), which handles the indefinite symmetric systems produced
+by the discretization, where a Cholesky factorization would fail.
 
 A Kronecker sum A = T_y(x)W_x + W_y(x)T_x - k^2 W_y(x)W_x of two small
 symmetric 1D pencils (T_y, W_y) and (T_x, W_x) is solved by fast
@@ -55,9 +56,9 @@ def factorize(A) -> SparseFactorization:
     """LU-factorize a square sparse matrix in SuperLU's COLAMD order.
 
     Raises SingularMatrixError when a pivot falls below PIVOT_RTOL times
-    the largest entry of A; near-singular coarse matrices are surfaced
-    rather than silently perturbed, since a perturbed solve would corrupt
-    iteration counts.
+    the largest entry of A; near-singular blocks are surfaced rather than
+    silently perturbed, since a perturbed solve would corrupt iteration
+    counts.
     """
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")

@@ -176,7 +176,7 @@ def test_matches_reference_gmres_on_table_cells(problem, kind):
     grid = Grid(81, "dirichlet" if problem == "MP1" else "sommerfeld")
     prob = assemble(grid, 20.0, problem)
     M = SchwarzPreconditioner(
-        kind, prob, extend_max(partition(grid, 20)), galerkin(build_hocs(grid, 4), prob.A)
+        kind, prob, extend_max(partition(grid, 20)), galerkin(build_hocs(grid, 4), prob)
     )
     cfg = GmresConfig(side="left")
     report = gmres(prob.A, M, prob.f, cfg)

@@ -2,10 +2,12 @@ import ast
 import importlib.util
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import helmdd
 import helmdd.cli
@@ -63,16 +65,22 @@ def test_benchmark_traced_run_reports_every_layer():
     assert [r.iterations for r in traced] == [r.iterations for r in untraced]
 
 
-def test_experiment_never_forms_r0(monkeypatch):
-    """The harness applies the coarse space through P alone, never through R_0 = P(x)P."""
-    cfg = mp2_k20_config(("AS2", "SAS2", "SHS2"))
-    expected = [r.iterations for r in helmdd.run_experiment(cfg)]
+def test_experiment_never_calls_kron(monkeypatch):
+    """The first cell of each built-in table forms neither R_0 = P(x)P nor A_0:
+    the coarse space is applied through P alone and solved from (T_0, W_0)."""
+    calls = []
+    kron = sp.kron
 
-    def refuse(cs):
-        raise AssertionError("R_0 formed")
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kron(*args, **kwargs)
 
-    monkeypatch.setattr(helmdd.coarse.CoarseSpace, "r0", property(refuse))
-    assert [r.iterations for r in helmdd.run_experiment(cfg)] == expected
+    monkeypatch.setattr(sp, "kron", counted)
+    for table in (1, 2, 3, 4):
+        cfg = helmdd.builtin_table(table)
+        rows = helmdd.run_experiment(replace(cfg, k_list=cfg.k_list[:1], n_list=cfg.n_list[:1]))
+        assert len(rows) == 1
+    assert calls == []
 
 
 def test_structured_galerkin_never_assembles_a0(monkeypatch):
@@ -109,6 +117,25 @@ def test_every_import_is_used():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_sparse_lu_stays_in_linalg():
+    """Only linalg.py imports scipy.sparse.linalg, and coarse.py uses no sparse LU."""
+    for path in sorted(Path(helmdd.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        modules = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules |= {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+        assert "scipy.sparse.linalg" not in modules, path.name
+    tree = ast.parse(Path(helmdd.coarse.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert not names & {"SparseFactorization", "factorize"}
 
 
 def readme_command_flags():
