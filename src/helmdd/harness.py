@@ -1,13 +1,13 @@
 """Experiment runner: sweeps (k, n, coarse kind, preconditioner) cells,
 collects GMRES iteration counts into table rows, and writes CSV reports.
 
-A sweep cell builds the problem once, classes the subdomains by the
-restrictions of the 1D factors T and W to their two 1D intervals (equal
-restrictions give equal blocks R_i A R_i^T), factorizes one block per
-class (schwarz.kronecker_blocks picks the form), and shares the resulting
-local solves across all preconditioner kinds; the Galerkin coarse problem
-is built once per coarse kind.  Nonconverged solves are reported with the
-literal 'x' in place of the iteration count.  Reruns of the same
+A sweep cell builds the problem once, builds its local solves once with
+schwarz.LocalSolves (the subdomains classed by the restrictions of the 1D
+factors T and W to their two 1D intervals, and one block per class factored
+in those intervals' eigenbases), and shares them across all preconditioner
+kinds; the Galerkin coarse problem is built once per coarse kind.
+Nonconverged solves are reported with the literal 'x' in place of the
+iteration count.  Reruns of the same
 configuration at a fixed BLAS thread count produce identical counts; only
 the timing columns vary.  Cells whose residual stagnates near the tolerance
 (FOCS on MP1, or kappa_H > 1) move by a few iterations, or across the cap,
@@ -16,8 +16,11 @@ under any change of rounding.  Of the 235 counts of tables 1-4 to k = 100,
 blocks in their Kronecker eigenbasis instead of by dense inverses moved 12
 of its 90 counts by 1 or 2 iterations, all with kappa_H > 2: (k, n) =
 (15, 33), (15, 81), (25, 49), (25, 113), (25, 177), (30, 65), (30, 81),
-(30, 113), (30, 129), (30, 177), (30, 193) and (30, 225).  No HOCS cell
-with kappa_H <= 1 moves.
+(30, 113), (30, 129), (30, 177), (30, 193) and (30, 225).  Forming the
+dense inverses of tables 1-3's local blocks from their 1D eigenpairs
+instead of by sparse LU moved 1 of their 145 counts to k = 100, table 3's
+(40, 57), kappa_H = 2.86, from 48 to 46, and beyond k = 100 table 2's
+k = 120 FOCS/SHS2 from 84 to 86.  No HOCS cell with kappa_H <= 1 moves.
 """
 
 from __future__ import annotations
@@ -30,12 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
+from . import decomposition
 from .coarse import COARSE_KINDS, build_focs, build_hocs, galerkin
-from .decomposition import block_classes, extend, extend_max, local_matrix, partition
+from .decomposition import extend, extend_max, partition
 from .discretization import PROBLEMS, Grid, RegimeReport, assemble, regime
 from .gmres import GmresConfig, gmres
-from .schwarz import PRECONDITIONER_KINDS, LocalSolves, SchwarzPreconditioner, kronecker_blocks
+from .schwarz import PRECONDITIONER_KINDS, LocalSolves, SchwarzPreconditioner
+
+# not called here: perfbench/spans.targets(full=True) wraps harness.local_matrix by name
+local_matrix = decomposition.local_matrix
 
 
 # relative distance of k^2 from a discrete Dirichlet eigenvalue below which
@@ -259,12 +265,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     spaces = {
         ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds
     }
-    labels, representatives = block_classes(decomp, prob)
-    factored = kronecker_blocks(decomp, prob, representatives)
-    local_solves = LocalSolves(decomp, prob, labels, [
-        linalg.factorize(local_matrix(decomp, i, prob.A)) if F is None else F
-        for i, F in zip(representatives, factored)
-    ])
+    local_solves = LocalSolves(decomp, prob)
     setup_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -1,19 +1,27 @@
-"""Direct solvers: sparse LU and the eigenbasis of a Kronecker sum.
-
-Sparse LU serves the local blocks of at most
-schwarz.DENSE_BLOCK_MAX_UNKNOWNS unknowns, scipy CSR/CSC matrices over
-float64 or complex128; the same code path serves both scalar kinds.
-Factorization is SuperLU (LU with partial pivoting on SuperLU's COLAMD
-column ordering), which handles the indefinite symmetric systems produced
-by the discretization, where a Cholesky factorization would fail.
+"""Direct solvers: the eigenbasis of a Kronecker sum, and sparse LU.
 
 A Kronecker sum A = T_y(x)W_x + W_y(x)T_x - k^2 W_y(x)W_x of two small
 symmetric 1D pencils (T_y, W_y) and (T_x, W_x) is solved by fast
 diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): with
 T Q = W Q Lambda and V = (W Q)^{-1} for each pencil,
 A^{-1} = (Q_y(x)Q_x) D^{-1} (V_y(x)V_x), D_ij = lambda_i + mu_j - k^2.
-The coarse problem is the case of two equal pencils, a large local block
-the case of the pencils of its box's two 1D intervals.
+The coarse problem is the case of two equal pencils, a local block the case
+of the pencils of its box's two 1D intervals; schwarz.LocalSolves keeps a
+small block as that product, formed densely.
+
+The solve multiplies by Q and V, so its normwise backward error grows with
+cond(Q_y) cond(Q_x), where LU with partial pivoting's does not.  MP1 has
+W = I and cond(Q) = 1, and the local intervals of tables 1-3 (k <= 200)
+have cond(Q) <= 1.93.  Small MP2 blocks at kappa_h = kh near 1, where
+harness.validate_config already warns that kappa_h exceeds 0.25, reach
+cond(Q) of about 515 per interval and backward errors up to 1.3e-13, where
+SuperLU leaves at most 8.6e-16 (14 x 14 boxes of n = 29 at k = 28.77).
+
+factorize and solve are sparse LU (SuperLU: LU with partial pivoting on
+SuperLU's COLAMD column ordering) for scipy CSR/CSC matrices over float64
+or complex128, which handles the indefinite symmetric systems of the
+discretization, where a Cholesky factorization would fail.  No solver path
+calls them: they are the tests' reference for the eigenbasis solves.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ PIVOT_RTOL = 1e-14
 
 # Largest accepted 2-norm cond(Q); the solve loses about 2 log10(cond(Q)) digits.
 # The 207 coarse problems of tables 1-4 (k <= 200) give cond(Q) = 1.0-30.7;
-# the local intervals of table 4 (MP1, W = I) give 1.0.
+# their local intervals give 1.0-1.93.
 EIGENVECTOR_COND_LIMIT = 1e8
 
 

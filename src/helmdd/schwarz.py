@@ -20,18 +20,20 @@ overlap the 1D intervals fall into at most 3 classes of equal restrictions
 subdomains there are.  decomposition.block_classes labels each subdomain by
 its (Y class, X class) pair.  The one-level term is applied as one gather
 x[G] of every subdomain's entries, one solve per class and one scatter-add.
-A class takes one of two forms, chosen by kronecker_blocks:
+Every class block is the Kronecker sum T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X
+and is factored in the eigenbases of its two 1D pencils (linalg.eigenbasis,
+computed once per distinct interval, and linalg.factorize_kronecker).  No
+local block is assembled and no sparse LU is formed; the tests hold both
+forms against SuperLU on the assembled blocks.  A class takes one of two
+forms:
 
-* A block of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns is LU-factorized
-  from its local_matrix and kept as its dense inverse.  The class solve is
-  one matrix product of its members' gathered entries with that inverse.
-* A larger block is the Kronecker sum T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X
-  and is kept in the eigenbases of its two 1D pencils (linalg.eigenbasis,
-  computed once per distinct interval, and linalg.factorize_kronecker).
-  The class solve is one KroneckerFactorization.solve of the stack
-  (members, n_Y, n_X): per member two products with n_Y x n_Y matrices,
-  two with n_X x n_X ones and a division.  No LU and no dense inverse is
-  formed.
+* A block of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns is kept as its dense
+  inverse (Q_Y(x)Q_X) D^{-1} (V_Y(x)V_X).  The class solve is one matrix
+  product of its members' gathered entries with that inverse.
+* A larger block is kept as its KroneckerFactorization.  The class solve is
+  one KroneckerFactorization.solve of the stack (members, n_Y, n_X): per
+  member two products with n_Y x n_Y matrices, two with n_X x n_X ones and
+  a division.  No dense inverse is formed.
 
 The rule, 441 unknowns (a 21 x 21 box), sits at the measured crossover of
 the apply time.  For one class of 65,536 gathered entries, on a 2-core
@@ -71,7 +73,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .coarse import CoarseSpace, coarse_correct
-from .decomposition import Decomposition, block_classes, box_bounds, local_matrix
+from .decomposition import Decomposition, block_classes, box_bounds
 from .discretization import HelmholtzProblem
 
 PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
@@ -81,59 +83,45 @@ PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
 DENSE_BLOCK_MAX_UNKNOWNS = 441
 
 
-def kronecker_blocks(
-    decomposition: Decomposition, problem: HelmholtzProblem, representatives
-) -> list:
-    """The KroneckerFactorization of each class block with more than
-    DENSE_BLOCK_MAX_UNKNOWNS unknowns, and None for the other classes.
-
-    representatives[c] is a subdomain of class c (decomposition.block_classes).
-    The block of a box Y x X is T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X; the
-    eigenbasis of each distinct 1D interval is computed once.
-    """
-    T, W = sp.csr_matrix(problem.T), sp.csr_matrix(problem.W)
-    bases: dict = {}
-
-    def basis(lo, hi):
-        if (lo, hi) not in bases:
-            bases[lo, hi] = linalg.eigenbasis(
-                T[lo:hi + 1, lo:hi + 1].toarray(), W[lo:hi + 1, lo:hi + 1].toarray()
-            )
-        return bases[lo, hi]
-
-    y0, x0, y1, x1 = (bound[representatives] for bound in box_bounds(decomposition))
-    return [
-        linalg.factorize_kronecker(basis(ya, yb), basis(xa, xb), problem.k)
-        if (yb - ya + 1) * (xb - xa + 1) > DENSE_BLOCK_MAX_UNKNOWNS
-        else None
-        for ya, xa, yb, xb in zip(y0, x0, y1, x1)
-    ]
-
-
 class LocalSolves:
     """The one-level term sum_i R_i^T [D_i] (R_i A R_i^T)^{-1} R_i, batched by block class.
 
-    labels[i] is the block class of subdomain i and factorizations[c] the
-    factorization of class c's block: a KroneckerFactorization, applied as
-    is, or a SparseFactorization, applied through its dense inverse.  One
-    object serves every preconditioner kind built on the same problem and
-    decomposition, and records both.
+    Classes the subdomains of decomposition by their blocks of problem's A
+    (decomposition.block_classes) and factors each class block in the
+    eigenbases of its box's two 1D intervals, one linalg.eigenbasis per
+    distinct interval.  A class of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns
+    keeps its dense inverse, any other its KroneckerFactorization (see the
+    module docstring).  Raises linalg.SingularMatrixError on a resonant
+    block.  One object serves every preconditioner kind built on the same
+    problem and decomposition, and records both.
     """
 
-    def __init__(
-        self, decomposition: Decomposition, problem: HelmholtzProblem, labels, factorizations: list
-    ):
+    def __init__(self, decomposition: Decomposition, problem: HelmholtzProblem):
         self.decomposition = decomposition
         self.problem = problem
+        labels, representatives = block_classes(decomposition, problem)
+        T, W = sp.csr_matrix(problem.T), sp.csr_matrix(problem.W)
+        bases: dict = {}
+
+        def basis(lo, hi):
+            if (lo, hi) not in bases:
+                bases[lo, hi] = linalg.eigenbasis(
+                    T[lo:hi + 1, lo:hi + 1].toarray(), W[lo:hi + 1, lo:hi + 1].toarray()
+                )
+            return bases[lo, hi]
+
+        y0, x0, y1, x1 = (bound[representatives] for bound in box_bounds(decomposition))
         gather = []
         self.classes = []  # (start, stop, solver) of each class's stretch of the gather
         start = 0
-        for c, F in enumerate(factorizations):
+        for c, (ya, xa, yb, xb) in enumerate(zip(y0, x0, y1, x1)):
+            F = linalg.factorize_kronecker(basis(ya, yb), basis(xa, xb), problem.k)
+            size = F.d.size
+            if size > DENSE_BLOCK_MAX_UNKNOWNS:
+                solver = F
+            else:  # solved for the identity's columns: 3x less rounding than kron(Q_y, Q_x) @ ...
+                solver = F.solve(np.eye(size).reshape(size, *F.d.shape)).reshape(size, size).T
             members = np.flatnonzero(labels == c)
-            if isinstance(F, linalg.KroneckerFactorization):
-                size, solver = F.d.size, F
-            else:
-                size, solver = F.n, linalg.solve(F, np.eye(F.n))
             entries = (decomposition.offsets[members, None] + np.arange(size)).ravel()
             gather.append(decomposition.indices[entries])
             stop = start + len(entries)
@@ -200,12 +188,7 @@ class SchwarzPreconditioner:
         self.A = problem.A
         self.coarse_space = coarse_space
         if local_solves is None:
-            labels, representatives = block_classes(decomposition, problem)
-            factored = kronecker_blocks(decomposition, problem, representatives)
-            local_solves = LocalSolves(decomposition, problem, labels, [
-                linalg.factorize(local_matrix(decomposition, i, self.A)) if F is None else F
-                for i, F in zip(representatives, factored)
-            ])
+            local_solves = LocalSolves(decomposition, problem)
         elif local_solves.problem is not problem or local_solves.decomposition is not decomposition:
             raise ValueError("local solves were built for another problem or decomposition")
         self.local_solves = local_solves

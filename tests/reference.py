@@ -1,8 +1,11 @@
 """Reference operators the tests hold the package against, formed explicitly."""
 
+import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from helmdd import linalg
+from helmdd.coarse import coarse_correct
 
 
 def r0(cs):
@@ -22,3 +25,25 @@ def coarse_correct_lu(cs, A, r):
     r may be one vector or the columns of an array."""
     R0 = r0(cs)
     return R0.T @ linalg.solve(linalg.factorize(R0 @ A @ R0.T), R0 @ r)
+
+
+def reference_preconditioner(kind, A, dec, cs, coarse=coarse_correct):
+    """x -> the preconditioner applied to x, with one SuperLU factorization of
+    each subdomain's block, made here, solved in a plain loop over the
+    subdomains; coarse(cs, r) is the coarse correction (the package's by default)."""
+    cuts = dec.offsets[1:-1]
+    blocks = [
+        (idx, w, splu(sp.csc_matrix(A[idx][:, idx])))
+        for idx, w in zip(np.split(dec.indices, cuts), np.split(weights(dec), cuts))
+    ]
+
+    def apply(x):
+        z = coarse(cs, x)
+        r = x - A @ z if kind == "SHS2" else x
+        y = z.copy()
+        for idx, w, lu in blocks:
+            yi = lu.solve(r[idx])
+            y[idx] += yi if kind == "AS2" else w * yi
+        return y
+
+    return apply

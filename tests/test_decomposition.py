@@ -16,7 +16,8 @@ from helmdd.decomposition import (
 )
 from helmdd.discretization import Grid, assemble
 from helmdd.harness import builtin_table
-from helmdd.schwarz import kronecker_blocks
+from helmdd.linalg import KroneckerFactorization
+from helmdd.schwarz import LocalSolves
 from reference import weights
 
 
@@ -322,5 +323,6 @@ def test_block_classes_of_the_table_cells():
             dec = extend_max(partition(grid, (n - 1) // cfg.coarse_ratio))
             prob = assemble(grid, k, cfg.problem)
             _, representatives = block_classes(dec, prob)
-            factored = [F is not None for F in kronecker_blocks(dec, prob, representatives)]
-            assert factored == [which == 4] * len(representatives), (which, n)
+            forms = [type(solver) for *_, solver in LocalSolves(dec, prob).classes]
+            form = KroneckerFactorization if which == 4 else np.ndarray
+            assert forms == [form] * len(representatives), (which, n)

@@ -138,6 +138,25 @@ def test_sparse_lu_stays_in_linalg():
     assert not names & {"SparseFactorization", "factorize"}
 
 
+def test_no_solver_path_calls_sparse_lu():
+    """No helmdd function calls linalg.factorize, linalg.solve or local_matrix:
+    the local and coarse solves are all formed from the 1D eigenpairs, and those
+    three stay as the tests' reference only."""
+    reference_only = {"factorize", "solve", "local_matrix"}
+    for path in sorted(Path(helmdd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                called = f.id
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                called = f.attr if f.value.id in ("linalg", "decomposition") else None
+            else:
+                called = None
+            assert called not in reference_only, f"{path.name}:{node.lineno} calls {called}"
+
+
 def readme_command_flags():
     """The --flags the README's "Command line" block lists, per subcommand."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,19 +1,19 @@
 import contextlib
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import splu
 
 from helmdd import schwarz
-from helmdd.coarse import build_focs, build_hocs, coarse_correct, galerkin
+from helmdd.coarse import build_focs, build_hocs, galerkin
 from helmdd.decomposition import (
     block_classes,
+    box_bounds,
     extend,
     extend_max,
     local_matrix,
@@ -22,9 +22,10 @@ from helmdd.decomposition import (
 )
 from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig, gmres
+from helmdd.harness import builtin_table, run_experiment
 from helmdd.linalg import KroneckerFactorization, SingularMatrixError, factorize, solve
-from helmdd.schwarz import SchwarzPreconditioner, kronecker_blocks
-from reference import coarse_correct_lu, r0, weights
+from helmdd.schwarz import LocalSolves, SchwarzPreconditioner
+from reference import coarse_correct_lu, r0, reference_preconditioner, weights
 
 
 def make_instance(n, k, problem, p, coarse_kind, ratio, overlap="max"):
@@ -197,18 +198,6 @@ def test_subdomain_order_independence(kind):
     assert np.abs(a - b).max() < 1e-13 * np.abs(a).max()
 
 
-def reference_apply(kind, A, dec, cs, x):
-    """The preconditioner with one sparse LU solve per subdomain, in a plain loop."""
-    z = coarse_correct(cs, x)
-    r = x - A @ z if kind == "SHS2" else x
-    y = z.copy()
-    cuts = dec.offsets[1:-1]
-    for idx, w in zip(np.split(dec.indices, cuts), np.split(weights(dec), cuts)):
-        yi = splu(sp.csc_matrix(A[idx][:, idx])).solve(r[idx])
-        y[idx] += yi if kind == "AS2" else w * yi
-    return y
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     problem=st.sampled_from(["MP1", "MP2"]),
@@ -233,7 +222,7 @@ def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, c
     if np.iscomplexobj(x):
         x += 1j * rng.standard_normal(len(x))
     got = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
-    want = reference_apply(kind, prob.A, dec, cs, x)
+    want = reference_preconditioner(kind, prob.A, dec, cs)(x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -244,13 +233,31 @@ def test_factored_blocks_match_loop_over_subdomains(problem, kind):
     prob, dec, cs = make_instance(33, 8.0, problem, 2, "HOCS", 16)
     M = SchwarzPreconditioner(kind, prob, dec, cs)
     assert all(isinstance(solver, KroneckerFactorization) for *_, solver in M.local_solves.classes)
+    reference = reference_preconditioner(kind, prob.A, dec, cs)
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = rng.standard_normal(prob.A.shape[0]).astype(prob.A.dtype)
         if np.iscomplexobj(x):
             x += 1j * rng.standard_normal(len(x))
-        want = reference_apply(kind, prob.A, dec, cs, x)
+        want = reference(x)
         assert np.abs(M.apply(x) - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("table", [1, 2])
+def test_lu_reference_takes_the_table_counts(table):
+    """GMRES preconditioned by the LU reference, SuperLU on every subdomain and
+    the LU coarse correction, takes run_experiment's count, exactly, for all six
+    coarse kind and preconditioner combinations of the table's (k, n) = (20, 81)."""
+    cfg = builtin_table(table)
+    (row,) = run_experiment(replace(cfg, k_list=(20,), n_list=(81,)), warn=lambda m: None)
+    prob, dec, _ = make_instance(81, 20, cfg.problem, 20, "HOCS", cfg.coarse_ratio)
+    coarse_lu = lambda cs, r: coarse_correct_lu(cs, prob.A, r)
+    for ck, builder in (("FOCS", build_focs), ("HOCS", build_hocs)):
+        cs = builder(dec.grid, cfg.coarse_ratio)
+        for pk in cfg.preconditioners:
+            M = reference_preconditioner(pk, prob.A, dec, cs, coarse=coarse_lu)
+            report = gmres(prob.A, M, prob.f, cfg.gmres)
+            assert (report.iterations if report.converged else "x") == row.iterations[f"{ck}_{pk}"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,18 +273,27 @@ def test_factored_blocks_match_loop_over_subdomains(problem, kind):
 @example(problem="MP1", cells=16, p=2, overlap=7, k=15.668357305354427, seed=0)
 @example(problem="MP2", cells=14, p=2, overlap=0, k=28.771643701533076, seed=2)
 def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
-    """Every class, factored whatever its size, solves its local_matrix block
-    A to a normwise backward error |Ax - b| / (|A| |x| + |b|) (infinity
-    norms) of at most 1e-14 cond(Q_y) cond(Q_x), the conditioning of the
-    eigenvector matrices the solve multiplies by.
+    """Every class of LocalSolves, in its production form (the dense inverse
+    X up to DENSE_BLOCK_MAX_UNKNOWNS unknowns, the factored solve above) and
+    again factored whatever its size, solves its local_matrix block A to a
+    normwise backward error of at most 1e-14 cond(Q_y) cond(Q_x), the
+    conditioning of the eigenvector matrices both forms are built from.
 
-    A forward residual |Ax - b| / |b| grows with cond(A) and says nothing
-    about the solver.  The first example's 31 x 31 class has
-    min |D| / max |D| = 3.6e-6.  The second's 22 x 22 class has cond(A) = 1e7
-    and leaves |Ax - b| = 2.8e-10 |b|, where SuperLU leaves 6.6e-11 |b|; its
-    backward error is 6.1e-16, with W = I and so cond(Q) = 1.  The third's
-    14 x 14 MP2 class has cond(Q_y) cond(Q_x) = 2.6e5 and a backward error of
-    1.3e-13.
+    The factored solve's backward error is |Ax - b| / (|A| |x| + |b|)
+    (infinity norms).  A forward residual |Ax - b| / |b| grows with cond(A)
+    and says nothing about the solver.  The first example's 31 x 31 class
+    has min |D| / max |D| = 3.6e-6.  The second's 22 x 22 class has
+    cond(A) = 1e7 and leaves |Ax - b| = 2.8e-10 |b|, where SuperLU leaves
+    6.6e-11 |b|; its backward error is 6.1e-16, with W = I and so
+    cond(Q) = 1.  The third's 14 x 14 MP2 class has
+    cond(Q_y) cond(Q_x) = 2.6e5 and a factored backward error of 1.3e-13.
+
+    The dense form x = X b is a matrix-vector product, whose rounding is
+    bounded by |X| |b|, not by |x|, so its scale is |A| | |X| |b| | + |b|.
+    Measured against |A| |x| instead, explicit inverses exceed 1e-14 on
+    0.25-0.5% of random b for MP1 blocks with cond(A) near 7e3, up to
+    2.5e-14 when formed by SuperLU, as much as when formed from the
+    eigenpairs; against |X| |b| both stay below 7e-16.
     """
     assume(problem == "MP2" or cells * p % 2 == 0)
     grid = Grid(cells * p + 1, "dirichlet" if problem == "MP1" else "sommerfeld")
@@ -286,18 +302,26 @@ def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
     assume(overlap <= max_overlap_layers(part))
     dec = extend(part, overlap)
     _, representatives = block_classes(dec, prob)
+    production = LocalSolves(dec, prob).classes
     with mock.patch.object(schwarz, "DENSE_BLOCK_MAX_UNKNOWNS", 0):
-        factored = kronecker_blocks(dec, prob, representatives)
+        factored = LocalSolves(dec, prob).classes
     rng = np.random.default_rng(seed)
-    for i, F in zip(representatives, factored):
+    for i, (*_, dense_or_factored), (*_, F) in zip(representatives, production, factored):
         A_i = local_matrix(dec, i, prob.A)
-        b = rng.standard_normal(F.d.shape).astype(prob.A.dtype)
-        if np.iscomplexobj(b):
-            b += 1j * rng.standard_normal(F.d.shape)
-        x, b = F.solve(b).ravel(), b.ravel()
-        scale = abs(A_i).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+        assert isinstance(dense_or_factored, np.ndarray) == (A_i.shape[0] <= 441)
         cond_q = np.linalg.cond(F.y.q) * np.linalg.cond(F.x.q)
-        assert np.abs(A_i @ x - b).max() <= 1e-14 * cond_q * scale
+        for solver in (dense_or_factored, F):
+            b = rng.standard_normal(F.d.shape).astype(prob.A.dtype)
+            if np.iscomplexobj(b):
+                b += 1j * rng.standard_normal(F.d.shape)
+            if isinstance(solver, KroneckerFactorization):
+                x, b = solver.solve(b).ravel(), b.ravel()
+                magnitude = np.abs(x)
+            else:
+                b = b.ravel()
+                x, magnitude = solver @ b, np.abs(solver) @ np.abs(b)
+            scale = abs(A_i).sum(axis=1).max() * magnitude.max() + np.abs(b).max()
+            assert np.abs(A_i @ x - b).max() <= 1e-14 * cond_q * scale
 
 
 def unbuffered_add_to(local_solves, x, out, weighted):
@@ -369,20 +393,25 @@ def test_buffered_add_to_is_bit_identical_across_a_dtype_switch(p, ratio):
 
 
 def test_resonant_local_block_is_rejected_by_both_paths():
-    """k^2 = lambda_1 + mu_1 of the 20 x 25 MP1 boxes (Y first, X interior)."""
-    grid = Grid(49, "dirichlet")
-    dec = extend(partition(grid, 3), 5)
-    T = assemble(grid, 1.0, "MP1").T.toarray()  # MP1's T and W = I do not depend on k
-    lam, mu = scipy.linalg.eigvalsh(T[:20, :20])[0], scipy.linalg.eigvalsh(T[:25, :25])[0]
-    prob = assemble(grid, float(np.sqrt(lam + mu)), "MP1")
-    _, representatives = block_classes(dec, prob)
-    resonant = [i for i in representatives if dec.offsets[i + 1] - dec.offsets[i] == 500]
-    assert len(resonant) == 2
-    with pytest.raises(SingularMatrixError, match=r"resonant mode \(i, j\) = \(0, 0\)"):
-        kronecker_blocks(dec, prob, representatives)
-    for i in resonant:
-        with pytest.raises(SingularMatrixError):
-            factorize(local_matrix(dec, i, prob.A))
+    """k^2 = lambda_1 + mu_1 of an MP1 box's Y and X intervals: the factored
+    20 x 25 boxes (first, interior) and the dense-inverse 9 x 11 ones."""
+    for n, p, overlap, ny, nx in ((49, 3, 5, 20, 25), (33, 4, 2, 9, 11)):
+        grid = Grid(n, "dirichlet")
+        dec = extend(partition(grid, p), overlap)
+        T = assemble(grid, 1.0, "MP1").T.toarray()  # MP1's T and W = I do not depend on k
+        lam, mu = scipy.linalg.eigvalsh(T[:ny, :ny])[0], scipy.linalg.eigvalsh(T[:nx, :nx])[0]
+        prob = assemble(grid, float(np.sqrt(lam + mu)), "MP1")
+        _, representatives = block_classes(dec, prob)
+        y0, x0, y1, x1 = box_bounds(dec)
+        resonant = [
+            i for i in representatives if {y1[i] - y0[i] + 1, x1[i] - x0[i] + 1} == {ny, nx}
+        ]
+        assert len(resonant) == 2
+        with pytest.raises(SingularMatrixError, match=r"resonant mode \(i, j\) = \(0, 0\)"):
+            LocalSolves(dec, prob)
+        for i in resonant:
+            with pytest.raises(SingularMatrixError):
+                factorize(local_matrix(dec, i, prob.A))
 
 
 def test_local_solves_from_another_problem_or_decomposition_rejected():
