@@ -18,11 +18,14 @@ node multiplicities, so sum_i R_i^T D_i R_i = I holds exactly
 (multiplicities in max-overlap mode are 1, 2 or 4 and the weights are
 exact binary fractions).
 
-A Decomposition stores its subdomains stacked, 8 bytes per subdomain entry
-(an int64 index) plus the N node multiplicities: subdomain i = ay*p + ax is
-the sorted indices[offsets[i]:offsets[i+1]], and the diagonal of D_i is
-1/multiplicity at those indices.  extend() builds the arrays from the p
-clipped 1D node ranges by broadcasting.
+A Decomposition stores its p overlapping 1D intervals [lo[a], hi[a]], in
+unknown coordinates, plus the N node multiplicities: subdomain i = ay*p + ax
+is the box of unknown rows lo[ay]..hi[ay] and columns lo[ax]..hi[ax], and
+the diagonal of D_i is 1/multiplicity on that box.  A node's multiplicity is
+the product of the numbers of intervals holding its row and its column.
+No array of one entry per subdomain entry is stored: box() gives a
+subdomain's bounds and box_indices() forms the index sets of boxes on
+demand, and no other module reads lo and hi.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ class Partition:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Overlapping subdomains R_i and weights D_i, stacked (see the module docstring)."""
+    """Overlapping subdomains R_i and weights D_i, as p*p boxes of p 1D
+    intervals (see the module docstring)."""
 
     grid: Grid
     p: int
-    indices: np.ndarray
-    offsets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     multiplicity: np.ndarray
 
     @property
@@ -63,22 +67,17 @@ class Decomposition:
 
 
 def _intervals(grid: Grid, p: int, m: int):
-    """Clipped node ranges [lo, hi] of the p 1D boxes for m overlap layers;
-    m = 0 gives the owned ranges, internal edges going to the lower box."""
+    """Ranges [lo, hi] of the p 1D boxes for m overlap layers, in unknown
+    coordinates and clipped to the unknowns; m = 0 gives the owned ranges,
+    internal edges going to the lower box."""
     c = (grid.n - 1) // p
     a = np.arange(p)
     if m == 0:
         lo, hi = a * c + (a > 0), (a + 1) * c
     else:
         lo, hi = a * c - (m - 1), (a + 1) * c + (m - 1)
-    first, last = grid.unknown_lo, grid.unknown_lo + grid.unknowns_per_dim - 1
-    return np.maximum(lo, first), np.minimum(hi, last)
-
-
-def _ranges(starts, counts) -> np.ndarray:
-    """Concatenation of arange(s, s + c) over the pairs (s, c)."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    first = grid.unknown_lo
+    return np.maximum(lo - first, 0), np.minimum(hi - first, grid.unknowns_per_dim - 1)
 
 
 def partition(grid: Grid, subdomains_per_dim: int) -> Partition:
@@ -103,15 +102,11 @@ def extend(part: Partition, overlap_layers: int) -> Decomposition:
         raise ValueError(f"overlap layer count must be nonnegative, got {m}")
     grid, p = part.grid, part.p
     lo, hi = _intervals(grid, p, m)
-    start, width = lo - grid.unknown_lo, hi - lo + 1
-    # one ragged arange over the rows of every box, then one over the entries of every row
-    ay, ax = np.divmod(np.arange(p * p), p)
-    rows = _ranges(start[ay], width[ay])
-    row_ax = np.repeat(ax, width[ay])
-    indices = _ranges(rows * grid.unknowns_per_dim + start[row_ax], width[row_ax])
-    offsets = np.concatenate(([0], np.cumsum(width[ay] * width[ax])))
-    mult = np.bincount(indices, minlength=grid.num_unknowns).astype(float)
-    return Decomposition(grid=grid, p=p, indices=indices, offsets=offsets, multiplicity=mult)
+    j = np.arange(grid.unknowns_per_dim)
+    count = ((lo[:, None] <= j) & (j <= hi[:, None])).sum(axis=0).astype(float)
+    # products of integers of at most p: exact
+    mult = np.outer(count, count).ravel()
+    return Decomposition(grid=grid, p=p, lo=lo, hi=hi, multiplicity=mult)
 
 
 def extend_max(part: Partition) -> Decomposition:
@@ -119,19 +114,29 @@ def extend_max(part: Partition) -> Decomposition:
     return extend(part, max_overlap_layers(part))
 
 
+def box(decomp: Decomposition, i: int) -> tuple:
+    """((y_lo, y_hi), (x_lo, x_hi)): the first and last unknown row and
+    column of subdomain i's box."""
+    ay, ax = divmod(i, decomp.p)
+    lo, hi = decomp.lo, decomp.hi
+    return (lo[ay], hi[ay]), (lo[ax], hi[ax])
+
+
+def box_indices(decomp: Decomposition, members) -> np.ndarray:
+    """Unknown indices of subdomains that share one box shape, one row per
+    member: its box's entries, rows outer and columns inner, in increasing
+    order.  The shape is read from members[0]."""
+    ay, ax = np.divmod(members, decomp.p)
+    (y0, y1), (x0, x1) = box(decomp, members[0])
+    rows = decomp.lo[ay, None] + np.arange(y1 - y0 + 1)
+    cols = decomp.lo[ax, None] + np.arange(x1 - x0 + 1)
+    return (rows[:, :, None] * decomp.grid.unknowns_per_dim + cols[:, None, :]).reshape(len(ay), -1)
+
+
 def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matrix:
     """Principal submatrix R_i A R_i^T of A on subdomain i."""
-    idx = decomp.indices[decomp.offsets[i]:decomp.offsets[i + 1]]
+    idx = box_indices(decomp, [i])[0]
     return A[idx][:, idx]
-
-
-def box_bounds(decomp: Decomposition) -> tuple:
-    """(y0, x0, y1, x1): the first and last unknown row and column of every
-    subdomain's box, read from its own first and last stacked index."""
-    m = decomp.grid.unknowns_per_dim
-    y0, x0 = np.divmod(decomp.indices[decomp.offsets[:-1]], m)
-    y1, x1 = np.divmod(decomp.indices[decomp.offsets[1:] - 1], m)
-    return y0, x0, y1, x1
 
 
 def block_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
@@ -140,34 +145,27 @@ def block_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     Returns (labels, representatives): labels[i] is the class of subdomain
     i, and representatives[c] is the first subdomain of class c.
 
-    A subdomain is a box Y x X of the unknown grid, read from its own first
-    and last stacked index, and its block is the Kronecker sum
-    T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X of the restrictions of the 1D
-    factors T and W of problem (discretization.assemble).  Each distinct 1D
-    interval, keyed by its bounds, is classed by the entries of T and W on
-    it, compared bit for bit, and a subdomain's class is its (Y class,
-    X class) pair, so every member's local_matrix equals its
+    A subdomain is a box Y x X of two of the p 1D intervals, and its block
+    is the Kronecker sum T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X of the
+    restrictions of the 1D factors T and W of problem
+    (discretization.assemble).  Each interval is classed by the entries of T
+    and W on it, compared bit for bit, and a subdomain's class is its
+    (Y class, X class) pair, so every member's local_matrix equals its
     representative's.  Distinct pairs can still give equal blocks (an MP1
     box of width 1 and its transpose); they stay separate classes.
     """
-    if np.diff(decomp.offsets).min() < 1:
+    lo, hi = decomp.lo, decomp.hi
+    if (hi < lo).any():
         raise ValueError("an empty subdomain has no block")
-    y0, x0, y1, x1 = box_bounds(decomp)
-    m = decomp.grid.unknowns_per_dim
-    # every subdomain's Y interval [lo, hi], then every X interval, keyed lo * m + hi
-    keys = np.concatenate((y0 * m + y1, x0 * m + x1))
-    intervals, interval_of = np.unique(keys, return_inverse=True)
     T, W = problem.T.toarray(), problem.W.toarray()
     content: dict = {}
     interval_class = np.array([
-        content.setdefault(
-            T[lo:hi + 1, lo:hi + 1].tobytes() + W[lo:hi + 1, lo:hi + 1].tobytes(), len(content)
-        )
-        for lo, hi in zip(*np.divmod(intervals, m))
+        content.setdefault(T[a:b + 1, a:b + 1].tobytes() + W[a:b + 1, a:b + 1].tobytes(), len(content))
+        for a, b in zip(lo, hi)
     ])
-    y_class, x_class = interval_class[interval_of].reshape(2, -1)
-    pairs = y_class * len(content) + x_class
+    # subdomain ay * p + ax is the pair (class of interval ay, class of interval ax)
+    pairs = (interval_class[:, None] * len(content) + interval_class).ravel()
     _, members, label = np.unique(pairs, return_index=True, return_inverse=True)
-    # number the classes by their first member, in stack order
+    # number the classes by their first member, in subdomain order
     order = np.argsort(members)
     return np.argsort(order)[label.ravel()], members[order]

@@ -11,16 +11,8 @@ iteration count.  Reruns of the same
 configuration at a fixed BLAS thread count produce identical counts; only
 the timing columns vary.  Cells whose residual stagnates near the tolerance
 (FOCS on MP1, or kappa_H > 1) move by a few iterations, or across the cap,
-under any change of rounding.  Of the 235 counts of tables 1-4 to k = 100,
-2 move with one OpenBLAS thread instead of two.  Solving table 4's local
-blocks in their Kronecker eigenbasis instead of by dense inverses moved 12
-of its 90 counts by 1 or 2 iterations, all with kappa_H > 2: (k, n) =
-(15, 33), (15, 81), (25, 49), (25, 113), (25, 177), (30, 65), (30, 81),
-(30, 113), (30, 129), (30, 177), (30, 193) and (30, 225).  Forming the
-dense inverses of tables 1-3's local blocks from their 1D eigenpairs
-instead of by sparse LU moved 1 of their 145 counts to k = 100, table 3's
-(40, 57), kappa_H = 2.86, from 48 to 46, and beyond k = 100 table 2's
-k = 120 FOCS/SHS2 from 84 to 86.  No HOCS cell with kappa_H <= 1 moves.
+under any change of rounding; no HOCS cell with kappa_H <= 1 moves.  README's
+"Command line" section lists the counts that have moved.
 """
 
 from __future__ import annotations

@@ -53,10 +53,11 @@ inverses take sum over the dense classes of s_c^2 entries for block sizes
 s_c (234 KB for MP2 at k = 200).  A factored class keeps its n_Y x n_X
 eigenvalue sums, and each distinct interval of n nodes 2 n^2 + n numbers:
 47 KB for the 4 classes of the table 4 cell n = 257, where their dense
-inverses took 17.8 MB.  The Decomposition holds the stacked indices once,
-8 bytes per subdomain entry (15.6 MB for MP2 at k = 200, 1.95 million
-entries), plus the N node multiplicities (5.1 MB), and LocalSolves keeps a
-class-ordered copy of the indices only (another 15.6 MB).  Between applies
+inverses took 17.8 MB.  The Decomposition holds its 1D interval bounds and
+the N node multiplicities (5.1 MB for MP2 at k = 200).  The only copy of
+the subdomain indices is LocalSolves' class-ordered gather, 8 bytes per
+subdomain entry (15.6 MB for MP2 at k = 200, 1.95 million entries),
+formed class by class with decomposition.box_indices.  Between applies
 LocalSolves also keeps two work buffers of that length, the gathered
 entries and their class products: 2 x gather length x itemsize, 15.6 MB
 for MP2 at k = 100 and 62.5 MB at k = 200.  Allocated per apply, buffers
@@ -73,7 +74,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .coarse import CoarseSpace, coarse_correct
-from .decomposition import Decomposition, block_classes, box_bounds
+from .decomposition import Decomposition, block_classes, box, box_indices
 from .discretization import HelmholtzProblem
 
 PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
@@ -110,21 +111,19 @@ class LocalSolves:
                 )
             return bases[lo, hi]
 
-        y0, x0, y1, x1 = (bound[representatives] for bound in box_bounds(decomposition))
         gather = []
         self.classes = []  # (start, stop, solver) of each class's stretch of the gather
         start = 0
-        for c, (ya, xa, yb, xb) in enumerate(zip(y0, x0, y1, x1)):
-            F = linalg.factorize_kronecker(basis(ya, yb), basis(xa, xb), problem.k)
+        for c, representative in enumerate(representatives):
+            y, x = box(decomposition, representative)
+            F = linalg.factorize_kronecker(basis(*y), basis(*x), problem.k)
             size = F.d.size
             if size > DENSE_BLOCK_MAX_UNKNOWNS:
                 solver = F
             else:  # solved for the identity's columns: 3x less rounding than kron(Q_y, Q_x) @ ...
                 solver = F.solve(np.eye(size).reshape(size, *F.d.shape)).reshape(size, size).T
-            members = np.flatnonzero(labels == c)
-            entries = (decomposition.offsets[members, None] + np.arange(size)).ravel()
-            gather.append(decomposition.indices[entries])
-            stop = start + len(entries)
+            gather.append(box_indices(decomposition, np.flatnonzero(labels == c)).ravel())
+            stop = start + len(gather[-1])
             self.classes.append((start, stop, solver))
             start = stop
         self.gather = np.concatenate(gather)

@@ -1,11 +1,11 @@
 """Reference operators the tests hold the package against, formed explicitly."""
 
-import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from helmdd import linalg
 from helmdd.coarse import coarse_correct
+from helmdd.decomposition import box_indices
 
 
 def r0(cs):
@@ -15,9 +15,14 @@ def r0(cs):
     return r0
 
 
+def subdomains(dec):
+    """The index set of every subdomain, in subdomain order."""
+    return [box_indices(dec, [i])[0] for i in range(dec.num_subdomains)]
+
+
 def weights(dec):
-    """The diagonals of every D_i, aligned with dec.indices."""
-    return 1.0 / dec.multiplicity[dec.indices]
+    """The diagonal of every D_i, in subdomain order."""
+    return [1.0 / dec.multiplicity[idx] for idx in subdomains(dec)]
 
 
 def coarse_correct_lu(cs, A, r):
@@ -27,15 +32,17 @@ def coarse_correct_lu(cs, A, r):
     return R0.T @ linalg.solve(linalg.factorize(R0 @ A @ R0.T), R0 @ r)
 
 
-def reference_preconditioner(kind, A, dec, cs, coarse=coarse_correct):
+def reference_preconditioner(kind, A, dec, cs, coarse=coarse_correct, order=None):
     """x -> the preconditioner applied to x, with one SuperLU factorization of
     each subdomain's block, made here, solved in a plain loop over the
-    subdomains; coarse(cs, r) is the coarse correction (the package's by default)."""
-    cuts = dec.offsets[1:-1]
+    subdomains, taken in the given order (subdomain order by default);
+    coarse(cs, r) is the coarse correction (the package's by default)."""
     blocks = [
         (idx, w, splu(sp.csc_matrix(A[idx][:, idx])))
-        for idx, w in zip(np.split(dec.indices, cuts), np.split(weights(dec), cuts))
+        for idx, w in zip(subdomains(dec), weights(dec))
     ]
+    if order is not None:
+        blocks = [blocks[i] for i in order]
 
     def apply(x):
         z = coarse(cs, x)

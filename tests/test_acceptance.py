@@ -20,7 +20,7 @@ from helmdd.gmres import GmresConfig, gmres
 from helmdd.harness import ExperimentConfig, builtin_table, run_experiment
 from helmdd.linalg import factorize, solve
 from helmdd.schwarz import SchwarzPreconditioner
-from reference import weights
+from reference import subdomains, weights
 
 KS = (20, 40, 60, 80, 100)
 NS = tuple(4 * k + 1 for k in KS)
@@ -165,7 +165,7 @@ def test_criterion_07_partition_of_unity():
         g = Grid(n, bc)
         dec = extend(partition(g, p), m)
         total = np.zeros(g.num_unknowns)
-        for idx, w in zip(np.split(dec.indices, dec.offsets[1:-1]), np.split(weights(dec), dec.offsets[1:-1])):
+        for idx, w in zip(subdomains(dec), weights(dec)):
             total[idx] += w
         worst = max(worst, np.abs(total - 1.0).max())
     ok = worst < 1e-15 and len(configs) >= 10

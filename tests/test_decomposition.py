@@ -1,4 +1,4 @@
-from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +18,7 @@ from helmdd.discretization import Grid, assemble
 from helmdd.harness import builtin_table
 from helmdd.linalg import KroneckerFactorization
 from helmdd.schwarz import LocalSolves
-from reference import weights
-
-
-def subdomains(decomp, values=None):
-    """Per-subdomain segments of the stacked indices, or of values aligned with them."""
-    return np.split(decomp.indices if values is None else values, decomp.offsets[1:-1])
+from reference import subdomains, weights
 
 
 def brute_force_multiplicity(decomp):
@@ -62,12 +57,9 @@ def reference_decomposition(grid, p, m):
 
 def assert_matches_reference(dec, m):
     sets, set_weights, mult = reference_decomposition(dec.grid, dec.p, m)
-    for got, want in [
-        (dec.indices, np.concatenate(sets)),
-        (dec.offsets, np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))),
-        (weights(dec), np.concatenate(set_weights)),
-        (dec.multiplicity, mult),
-    ]:
+    got_sets, got_weights = subdomains(dec), weights(dec)
+    assert len(got_sets) == len(got_weights) == len(sets) == dec.num_subdomains
+    for got, want in [*zip(got_sets, sets), *zip(got_weights, set_weights), (dec.multiplicity, mult)]:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -102,8 +94,9 @@ class TestPartition:
     def test_disjoint_cover_interior(self):
         dec = extend(partition(Grid(9, "dirichlet"), 2), 0)
         assert len(subdomains(dec)) == 4
-        assert len(dec.indices) == 49
-        assert len(np.unique(dec.indices)) == 49
+        entries = np.concatenate(subdomains(dec))
+        assert len(entries) == 49
+        assert len(np.unique(entries)) == 49
 
     def test_table_scale_subdomain_count(self):
         dec = extend(partition(Grid(81, "sommerfeld"), 20), 0)
@@ -132,7 +125,7 @@ class TestExtend:
         part = partition(Grid(9, "dirichlet"), 2)
         dec = extend(part, 0)
         assert dec.multiplicity.max() == 1
-        for w in subdomains(dec, weights(dec)):
+        for w in weights(dec):
             assert np.all(w == 1.0)
 
     def test_max_overlap_central_cross(self):
@@ -145,13 +138,13 @@ class TestExtend:
         center = g.unknown_index(4, 4)
         assert dec.multiplicity[center] == 4
         i0 = list(subdomains(dec)[0]).index(center)
-        assert subdomains(dec, weights(dec))[0][i0] == 0.25
+        assert weights(dec)[0][i0] == 0.25
 
     def test_partition_of_unity_max_overlap(self):
         g = Grid(9, "dirichlet")
         dec = extend_max(partition(g, 2))
         total = np.zeros(g.num_unknowns)
-        for idx, w in zip(subdomains(dec), subdomains(dec, weights(dec))):
+        for idx, w in zip(subdomains(dec), weights(dec)):
             total[idx] += w
         assert np.abs(total - 1.0).max() < 1e-15
 
@@ -175,7 +168,7 @@ def test_partition_of_unity_identity(n, p, m, bc):
     g = Grid(n, bc)
     dec = extend(partition(g, p), m)
     total = np.zeros(g.num_unknowns)
-    for idx, w in zip(subdomains(dec), subdomains(dec, weights(dec))):
+    for idx, w in zip(subdomains(dec), weights(dec)):
         total[idx] += w
     assert np.abs(total - 1.0).max() < 1e-15
 
@@ -188,6 +181,21 @@ def test_max_overlap_multiplicity_bound(n, p, bc):
     assert dec.multiplicity.min() >= 1
 
 
+def test_decomposition_stores_no_per_entry_array():
+    """The MP2 k = 200 layout has 1,954,404 subdomain entries; the decomposition
+    holds its 2 x 200 interval bounds and the 641,601 multiplicities only."""
+    grid = Grid(801, "sommerfeld")
+    part = partition(grid, 200)
+    tracemalloc.start()
+    try:
+        dec = extend_max(part)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dec.num_subdomains == 40_000
+    assert held < 1.5 * 8 * grid.num_unknowns
+
+
 def test_local_matrices_are_principal_submatrices():
     g = Grid(9, "dirichlet")
     prob = assemble(g, 2.0, "MP1")
@@ -198,13 +206,14 @@ def test_local_matrices_are_principal_submatrices():
         assert np.array_equal(local_matrix(dec, i, prob.A).toarray(), expected)
 
 
-def reference_block_classes(dec, prob):
+def reference_block_classes(dec, prob, overlap):
     """block_classes as first written: each interval keyed by the CSR arrays
     of T and W sliced to it, the intervals found by a 2D np.unique of their
-    (lo, hi) bounds."""
+    (lo, hi) bounds, and the boxes read from reference_decomposition."""
+    sets, _, _ = reference_decomposition(dec.grid, dec.p, overlap)
     m = dec.grid.unknowns_per_dim
-    y0, x0 = np.divmod(dec.indices[dec.offsets[:-1]], m)
-    y1, x1 = np.divmod(dec.indices[dec.offsets[1:] - 1], m)
+    y0, x0 = np.divmod([idx[0] for idx in sets], m)
+    y1, x1 = np.divmod([idx[-1] for idx in sets], m)
     bounds = np.column_stack((np.concatenate((y0, x0)), np.concatenate((y1, x1))))
     intervals, interval_of = np.unique(bounds, axis=0, return_inverse=True)
     T, W = sp.csr_matrix(prob.T), sp.csr_matrix(prob.W)
@@ -225,9 +234,9 @@ def reference_block_classes(dec, prob):
     return np.argsort(order)[label.ravel()], members[order]
 
 
-def assert_classes_match_reference(dec, prob):
+def assert_classes_match_reference(dec, prob, overlap):
     labels, representatives = block_classes(dec, prob)
-    want_labels, want_representatives = reference_block_classes(dec, prob)
+    want_labels, want_representatives = reference_block_classes(dec, prob, overlap)
     assert np.array_equal(labels, want_labels)
     assert np.array_equal(representatives, want_representatives)
 
@@ -246,23 +255,8 @@ def test_block_classes_match_reference_on_table_layouts():
     assert len(layouts) == 3 + 42
     for problem, n, p, k in layouts:
         grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
-        assert_classes_match_reference(extend_max(partition(grid, p)), assemble(grid, k, problem))
-
-
-def assert_classes_group_identical_blocks(dec, prob):
-    assert_classes_match_reference(dec, prob)
-    labels, representatives = block_classes(dec, prob)
-    assert len(labels) == dec.num_subdomains
-    assert len(representatives) <= 9
-    assert np.array_equal(labels[representatives], np.arange(len(representatives)))
-    # each representative is the first member of its class
-    assert np.array_equal(np.unique(labels, return_index=True)[1], representatives)
-    for i in range(dec.num_subdomains):
-        block = local_matrix(dec, i, prob.A)
-        rep = local_matrix(dec, representatives[labels[i]], prob.A)
-        assert block.shape == rep.shape
-        assert np.array_equal(block.toarray(), rep.toarray())
-    return labels
+        part = partition(grid, p)
+        assert_classes_match_reference(extend_max(part), assemble(grid, k, problem), max_overlap_layers(part))
 
 
 @settings(max_examples=25, deadline=None)
@@ -277,20 +271,20 @@ def test_block_classes_group_identical_blocks(problem, p, cells, k, data):
     grid = Grid(cells * p + 1, "dirichlet" if problem == "MP1" else "sommerfeld")
     prob = assemble(grid, k, problem)
     part = partition(grid, p)
-    dec = extend(part, data.draw(st.integers(0, max_overlap_layers(part)), label="overlap"))
-    labels = assert_classes_group_identical_blocks(dec, prob)
-    # the same boxes stacked in another order: a class is keyed by the box, not by its slot
-    perm = np.array(data.draw(st.permutations(range(dec.num_subdomains)), label="order"))
-    sets = np.split(dec.indices, dec.offsets[1:-1])
-    shuffled = replace(
-        dec,
-        indices=np.concatenate([sets[i] for i in perm]),
-        offsets=np.concatenate(([0], np.cumsum(np.diff(dec.offsets)[perm]))),
-    )
-    shuffled_labels = assert_classes_group_identical_blocks(shuffled, prob)
-    # the two labelings differ only by a renumbering of the classes
-    pairs = np.unique(np.stack((shuffled_labels, labels[perm])), axis=1)
-    assert pairs.shape[1] == shuffled_labels.max() + 1 == labels.max() + 1
+    overlap = data.draw(st.integers(0, max_overlap_layers(part)), label="overlap")
+    dec = extend(part, overlap)
+    assert_classes_match_reference(dec, prob, overlap)
+    labels, representatives = block_classes(dec, prob)
+    assert len(labels) == dec.num_subdomains
+    assert len(representatives) <= 9
+    assert np.array_equal(labels[representatives], np.arange(len(representatives)))
+    # each representative is the first member of its class
+    assert np.array_equal(np.unique(labels, return_index=True)[1], representatives)
+    for i in range(dec.num_subdomains):
+        block = local_matrix(dec, i, prob.A)
+        rep = local_matrix(dec, representatives[labels[i]], prob.A)
+        assert block.shape == rep.shape
+        assert np.array_equal(block.toarray(), rep.toarray())
 
 
 def test_block_classes_reject_empty_subdomains():

@@ -157,6 +157,19 @@ def test_no_solver_path_calls_sparse_lu():
             assert called not in reference_only, f"{path.name}:{node.lineno} calls {called}"
 
 
+def test_only_decomposition_reads_the_box_layout():
+    """No helmdd module but decomposition.py reads an attribute named lo, hi,
+    indices or offsets: the layout of a Decomposition is known in one module,
+    and the others go through decomposition.box and box_indices."""
+    layout = {"lo", "hi", "indices", "offsets"}
+    for path in sorted(Path(helmdd.__file__).parent.glob("*.py")):
+        if path.name == "decomposition.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in layout, f"{path.name}:{node.lineno} reads .{node.attr}"
+
+
 def readme_command_flags():
     """The --flags the README's "Command line" block lists, per subcommand."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
