@@ -32,19 +32,24 @@ forms:
   product of its members' gathered entries with that inverse.
 * A larger block is kept as its KroneckerFactorization.  The class solve is
   one KroneckerFactorization.solve of the stack (members, n_Y, n_X): per
-  member two products with n_Y x n_Y matrices, two with n_X x n_X ones and
-  a division.  No dense inverse is formed.
+  member two products with n_Y x n_Y matrices, for the whole class two
+  products of all its members' rows with n_X x n_X matrices (one GEMM
+  each), and a division, written into LocalSolves' buffers.  No dense
+  inverse is formed.
 
-The rule, 441 unknowns (a 21 x 21 box), sits at the measured crossover of
-the apply time.  For one class of 65,536 gathered entries, on a 2-core
-x86-64 machine with OpenBLAS at 2 threads, the dense product and the
-factored solve took 0.74 and 0.65 ms on 19 x 19 boxes, 0.89 and 0.66 ms on
-21 x 21 and 1.10 and 0.77 ms on 23 x 23 for real entries, and 2.4 and
-3.1 ms, 3.2 and 3.2 ms, 3.8 and 3.4 ms for complex ones; repeated runs
-move the crossover between 17 x 17 and 23 x 23.  On 7 x 7 boxes the
-factored solve is 7 (real) to 14 (complex) times slower.  Tables 1-3 have
-boxes of at most 7 x 7 and table 4 of at least 23 x 23, so any rule from
-49 to 528 unknowns gives them the same forms.
+The rule, 441 unknowns (a 21 x 21 box), sits at or above the measured
+crossover of the apply time.  For one class of 65,536 gathered entries, on
+a 2-core x86-64 machine with OpenBLAS at 2 threads, the dense product and
+the factored solve took 0.59-0.68 and 0.44 ms on 19 x 19 boxes, 0.64-0.82
+and 0.40-0.43 ms on 21 x 21 and 0.95-0.98 and 0.46-0.47 ms on 23 x 23 for
+real entries, and 1.8-2.4 and 1.6-1.8 ms, 2.5-2.8 and 1.8 ms, 3.7-3.8 and
+2.1-2.6 ms for complex ones (medians of 300 calls in each of two runs).
+The crossover lies near 17 x 17; before the factored solve took its
+n_X x n_X products as one GEMM per class, repeated runs put it between
+17 x 17 and 23 x 23.  On 7 x 7 boxes the factored solve is 3 (real) to
+5-8 (complex) times slower.  Tables 1-3 have boxes of at most 7 x 7 and
+table 4 of at least 23 x 23, so any rule from 49 to 528 unknowns gives
+them the same forms.
 
 The weights D_i are the inverse node multiplicities, so
 sum_i R_i^T D_i y_i = D sum_i R_i^T y_i with D = diag(1/multiplicity): the
@@ -60,11 +65,15 @@ subdomain entry (15.6 MB for MP2 at k = 200, 1.95 million entries),
 formed class by class with decomposition.box_indices.  Between applies
 LocalSolves also keeps two work buffers of that length, the gathered
 entries and their class products: 2 x gather length x itemsize, 15.6 MB
-for MP2 at k = 100 and 62.5 MB at k = 200.  Allocated per apply, buffers
-of that size are mapped and unmapped every time unless some larger freed
-block has raised glibc's mmap threshold.  Complex products are scattered
-by one bincount over their real and imaginary parts, through the
-interleaved indices 2g, 2g + 1 (another 31.2 MB at k = 200).
+for MP2 at k = 100 and 62.5 MB at k = 200.  Where some class is factored
+it keeps a third, as long as the largest factored class's stretch of the
+gather, for the products between the first and the last of a factored
+solve: 1.5 MB of real entries for the n = 257 cell of table 4, whose
+gather is 1.8 MB.  Allocated per apply, buffers of that size are mapped
+and unmapped every time unless some larger freed block has raised glibc's
+mmap threshold.  Complex products are scattered by one bincount over
+their real and imaginary parts, through the interleaved indices 2g,
+2g + 1 (another 31.2 MB at k = 200).
 """
 
 from __future__ import annotations
@@ -127,24 +136,37 @@ class LocalSolves:
             self.classes.append((start, stop, solver))
             start = stop
         self.gather = np.concatenate(gather)
-        self._work = None  # the gathered entries and their class products, kept between applies
+        self._work = None  # gathered entries, class products, factored-solve scratch; kept between applies
         self._gather_interleaved = None  # 2g, 2g+1 for each g in gather, for complex products
 
     def add_to(self, x: np.ndarray, out: np.ndarray, weighted: bool):
         """Accumulate the one-level term applied to x into out.
 
-        Works in two buffers of the gather's length, allocated on the first
-        call and again when x's dtype changes, so one LocalSolves must not be
-        applied from two threads at once.
+        Works in two buffers of the gather's length and, for the factored
+        classes, a third of the largest factored class's length, allocated
+        on the first call and again when x's dtype changes, so one
+        LocalSolves must not be applied from two threads at once.
         """
         if self._work is None or self._work[0].dtype != x.dtype:
             dtype = np.result_type(x.dtype, self.problem.A.dtype)
-            self._work = np.empty(len(self.gather), x.dtype), np.empty(len(self.gather), dtype)
-        xs, ys = self._work
+            factored = max(
+                (stop - start for start, stop, solver in self.classes
+                 if isinstance(solver, linalg.KroneckerFactorization)),
+                default=0,
+            )
+            self._work = (
+                np.empty(len(self.gather), x.dtype), np.empty(len(self.gather), dtype),
+                np.empty(factored, dtype),
+            )
+        xs, ys, zs = self._work
         np.take(x, self.gather, out=xs, mode="clip")  # "raise" would buffer out in a temporary
         for start, stop, solver in self.classes:
             if isinstance(solver, linalg.KroneckerFactorization):
-                ys[start:stop] = solver.solve(xs[start:stop].reshape(-1, *solver.d.shape)).ravel()
+                stack = (-1, *solver.d.shape)
+                solver.solve(
+                    xs[start:stop].reshape(stack), ys[start:stop].reshape(stack),
+                    zs[:stop - start].reshape(stack),
+                )
             else:
                 s = len(solver)
                 np.matmul(xs[start:stop].reshape(-1, s), solver.T, out=ys[start:stop].reshape(-1, s))

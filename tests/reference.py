@@ -25,6 +25,12 @@ def weights(dec):
     return [1.0 / dec.multiplicity[idx] for idx in subdomains(dec)]
 
 
+def kronecker_solve(F, B):
+    """A linalg.KroneckerFactorization F applied to B, one n_y x n_y and one
+    n_x x n_x product per member of a stack B for each side, each in a new array."""
+    return F.y.q @ ((F.y.v @ B @ F.x.v.T) / F.d) @ F.x.q.T
+
+
 def coarse_correct_lu(cs, A, r):
     """R_0^T A_0^{-1} R_0 r with A_0 = R_0 A R_0^T formed and LU-factorized;
     r may be one vector or the columns of an array."""

@@ -11,13 +11,12 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from helmdd.coarse import build_focs, build_hocs, galerkin
 from helmdd.decomposition import extend, extend_max, partition
 from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig, gmres
-from helmdd.harness import ExperimentConfig, builtin_table, run_experiment
+from helmdd.harness import builtin_table, run_experiment
 from helmdd.linalg import factorize, solve
 from helmdd.schwarz import SchwarzPreconditioner
 from reference import subdomains, weights

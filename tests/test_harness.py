@@ -1,9 +1,7 @@
 import csv
-import io
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from helmdd import cli

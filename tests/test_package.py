@@ -104,8 +104,9 @@ def test_structured_galerkin_never_assembles_a0(monkeypatch):
 
 
 def test_every_import_is_used():
-    """Each name a helmdd module (other than __init__) imports is used in it."""
-    for path in sorted(Path(helmdd.__file__).parent.glob("*.py")):
+    """Each name a helmdd module (other than __init__) or a test module imports is used in it."""
+    modules = sorted(Path(helmdd.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    for path in modules:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())

@@ -25,7 +25,14 @@ from helmdd.gmres import GmresConfig, gmres
 from helmdd.harness import builtin_table, run_experiment
 from helmdd.linalg import KroneckerFactorization, SingularMatrixError, factorize, solve
 from helmdd.schwarz import LocalSolves, SchwarzPreconditioner
-from reference import coarse_correct_lu, r0, reference_preconditioner, subdomains, weights
+from reference import (
+    coarse_correct_lu,
+    kronecker_solve,
+    r0,
+    reference_preconditioner,
+    subdomains,
+    weights,
+)
 
 
 def make_instance(n, k, problem, p, coarse_kind, ratio, overlap="max"):
@@ -317,12 +324,13 @@ def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
 
 
 def unbuffered_add_to(local_solves, x, out, weighted):
-    """LocalSolves.add_to with fresh arrays: x[gather], then one real bincount per part."""
+    """LocalSolves.add_to with fresh arrays: x[gather], the per-member
+    reference.kronecker_solve, then one real bincount per part."""
     xs = x[local_solves.gather]
     ys = np.empty(len(xs), dtype=np.result_type(xs.dtype, local_solves.problem.A.dtype))
     for start, stop, solver in local_solves.classes:
         if isinstance(solver, KroneckerFactorization):
-            ys[start:stop] = solver.solve(xs[start:stop].reshape(-1, *solver.d.shape)).ravel()
+            ys[start:stop] = kronecker_solve(solver, xs[start:stop].reshape(-1, *solver.d.shape)).ravel()
         else:
             s = len(solver)
             np.matmul(xs[start:stop].reshape(-1, s), solver.T, out=ys[start:stop].reshape(-1, s))
@@ -351,20 +359,64 @@ def random_vector(rng, n, dtype):
     return x
 
 
-def test_buffered_add_to_allocates_less_than_one_gathered_vector():
-    """A second add_to reuses its buffers; x[gather] alone would take len(gather) * 16 bytes."""
-    prob, dec, cs = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
-    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
-    x = random_vector(np.random.default_rng(0), prob.A.shape[0], complex)
+@pytest.mark.parametrize(
+    "n, k, problem, p, ratio",
+    [(81, 20.0, "MP2", 20, 4), (57, 14.0, "MP1", 14, 4), (33, 8.0, "MP1", 2, 16), (145, 20.0, "MP1", 9, 16)],
+    ids=["table1", "table3", "table4-n33", "table4-n145"],
+)
+def test_kronecker_solve_is_bit_identical_to_per_member_products(n, k, problem, p, ratio):
+    """KroneckerFactorization.solve, whose x-side products are one matrix
+    product over all members' rows, equals reference.kronecker_solve's
+    per-member products byte for byte: on the identity stack LocalSolves
+    forms dense inverses from, on random stacks, real and complex, and on one
+    grid array, with and without caller-given storage, for every class of a
+    table layout (factored whatever its size) and for its coarse problem.
+    These layouts have boxes 5 to 7, 23 and 31 nodes wide."""
+    prob, dec, cs = make_instance(n, k, problem, p, "HOCS", ratio)
+    with mock.patch.object(schwarz, "DENSE_BLOCK_MAX_UNKNOWNS", 0):
+        classes = LocalSolves(dec, prob).classes
+    rng = np.random.default_rng(n)
+    members = [(stop - start) // F.d.size for start, stop, F in classes]
+    for F, m in zip([F for *_, F in classes] + [cs.a0_factorization], members + [1]):
+        size = F.d.size
+        stacks = [np.eye(size).reshape(size, *F.d.shape)]
+        stacks += [random_vector(rng, m * size, dtype).reshape(m, *F.d.shape) for dtype in (float, complex)]
+        stacks += [B[0] for B in stacks[1:]]
+        for B in stacks:
+            want = kronecker_solve(F, B)
+            assert F.solve(B).tobytes() == want.tobytes()
+            out, work = np.empty_like(want), np.empty_like(want)
+            assert F.solve(B, out, work) is out and out.tobytes() == want.tobytes()
+
+
+def second_add_to_peak(local_solves, x):
+    """The tracemalloc peak of an add_to that follows a first one."""
     out = np.zeros_like(x)
     local_solves.add_to(x, out, weighted=True)
     tracemalloc.start()
     try:
         local_solves.add_to(x, out, weighted=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < len(local_solves.gather) * 16
+
+
+def test_buffered_add_to_allocates_less_than_one_gathered_vector():
+    """A second add_to reuses its buffers; x[gather] alone would take len(gather) * 16 bytes."""
+    prob, dec, cs = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
+    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    x = random_vector(np.random.default_rng(0), prob.A.shape[0], complex)
+    assert second_add_to_peak(local_solves, x) < len(local_solves.gather) * 16
+
+
+def test_buffered_add_to_of_factored_classes_allocates_less_than_one_gathered_vector():
+    """The same on MP1 n = 129 at H = 16h, whose four classes are all factored:
+    each class solve writes into add_to's kept buffers."""
+    prob, dec, cs = make_instance(129, 30.0, "MP1", 8, "HOCS", 16)
+    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    assert all(isinstance(solver, KroneckerFactorization) for *_, solver in local_solves.classes)
+    x = random_vector(np.random.default_rng(0), prob.A.shape[0], float)
+    assert second_add_to_peak(local_solves, x) < len(local_solves.gather) * x.itemsize
 
 
 def test_buffered_add_to_is_bit_identical_on_mp2():
