@@ -18,8 +18,9 @@ A = T(x)W + W(x)T - k^2 W(x)W restricted to Y and to X.  Up to the maximum
 overlap the 1D intervals fall into at most 3 classes of equal restrictions
 (first, interior, last), so at most 9 distinct blocks remain, however many
 subdomains there are.  decomposition.block_classes labels each subdomain by
-its (Y class, X class) pair.  The one-level term is applied as one gather
-x[G] of every subdomain's entries, one solve per class and one scatter-add.
+its (Y class, X class) pair.  The one-level term is applied class by class
+to chunks of the gather G of every subdomain's entries: for each chunk one
+take of x[G], one batched solve and one scatter-add.
 Every class block is the Kronecker sum T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X
 and is factored in the eigenbases of its two 1D pencils (linalg.eigenbasis,
 computed once per distinct interval, and linalg.factorize_kronecker).  No
@@ -62,18 +63,34 @@ inverses took 17.8 MB.  The Decomposition holds its 1D interval bounds and
 the N node multiplicities (5.1 MB for MP2 at k = 200).  The only copy of
 the subdomain indices is LocalSolves' class-ordered gather, 8 bytes per
 subdomain entry (15.6 MB for MP2 at k = 200, 1.95 million entries),
-formed class by class with decomposition.box_indices.  Between applies
-LocalSolves also keeps two work buffers of that length, the gathered
-entries and their class products: 2 x gather length x itemsize, 15.6 MB
-for MP2 at k = 100 and 62.5 MB at k = 200.  Where some class is factored
-it keeps a third, as long as the largest factored class's stretch of the
-gather, for the products between the first and the last of a factored
-solve: 1.5 MB of real entries for the n = 257 cell of table 4, whose
-gather is 1.8 MB.  Allocated per apply, buffers of that size are mapped
-and unmapped every time unless some larger freed block has raised glibc's
-mmap threshold.  Complex products are scattered by one bincount over
-their real and imaginary parts, through the interleaved indices 2g,
-2g + 1 (another 31.2 MB at k = 200).
+formed class by class with decomposition.box_indices.
+
+LocalSolves.add_to cuts each class's stretch of the gather into chunks of
+whole members: as many chunks of _CHUNK_ENTRIES // size members as the
+class holds, the remainder spread over them.  A chunk's entries of x are
+taken into one buffer and solved into a second (a factored solve uses a
+third between its products), which np.add.at adds into one zeroed grid
+vector.  ufunc.at adds in index order into zeros, as bincount did, so one
+scatter serves real and complex products with the same bytes.  The buffers
+are kept between applies and hold one member or fewer than
+2 _CHUNK_ENTRIES entries, about _CHUNK_ENTRIES in a large class: a first
+add_to leaves 1.06 MB behind for MP2 at k = 200 and 0.53 MB for MP1
+(tracemalloc), where buffers as long as the gather, plus interleaved
+indices 2g, 2g + 1 for a complex bincount, left 93.8 MB and 31.2 MB.  Two
+complex chunk buffers take 1.06 MB and three 1.6 MB, within the 2 MB L2
+cache of one core of the 2-core x86-64 machine measured.  There add_to
+took 23-25 ms against 30 ms for MP2 at k = 200 and 11.5 against 13-15 ms
+for MP1 (medians of 30 calls in each of two processes).  For MP1 at
+k = 80, whose 2.5 MB gather fits the caches whole, it took 1.65 against
+1.5 ms (medians of 300 calls in each of three processes): each chunk's
+product is one more OpenBLAS call.  No chunk is a short tail: OpenBLAS picks its kernel by
+the product's shape, gemv for one row and, for real entries, another
+dgemm kernel for some short products, and those round a row of a dense
+class product differently.  A plain run of 668-member chunks left a
+108-member tail in MP1 n = 161's 49-unknown class, whose rows then moved
+by rounding.  With chunks of at least _CHUNK_ENTRIES // size members the
+chunked apply gives the bytes of one product per class on every layout
+of tables 1-4 (OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -91,6 +108,10 @@ PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
 # Class blocks of at most this many unknowns keep a dense inverse; larger ones
 # are solved in their Kronecker eigenbasis (see the module docstring).
 DENSE_BLOCK_MAX_UNKNOWNS = 441
+
+# LocalSolves.add_to cuts a class's stretch of the gather into chunks of
+# _CHUNK_ENTRIES // size whole members (see the module docstring).
+_CHUNK_ENTRIES = 32768
 
 
 class LocalSolves:
@@ -136,53 +157,53 @@ class LocalSolves:
             self.classes.append((start, stop, solver))
             start = stop
         self.gather = np.concatenate(gather)
-        self._work = None  # gathered entries, class products, factored-solve scratch; kept between applies
-        self._gather_interleaved = None  # 2g, 2g+1 for each g in gather, for complex products
+        self._work = None  # chunk buffers: gathered entries, class products, factored-solve scratch
 
     def add_to(self, x: np.ndarray, out: np.ndarray, weighted: bool):
         """Accumulate the one-level term applied to x into out.
 
-        Works in two buffers of the gather's length and, for the factored
-        classes, a third of the largest factored class's length, allocated
-        on the first call and again when x's dtype changes, so one
+        Walks the gather chunk by chunk (_chunks): takes the chunk's entries
+        of x into a buffer, solves them into a second one (a factored class
+        with a third as scratch) and adds the products into one zeroed grid
+        vector with np.add.at, in gather order.  The chunk buffers are
+        allocated on the first call and again when x's dtype changes, so one
         LocalSolves must not be applied from two threads at once.
         """
         if self._work is None or self._work[0].dtype != x.dtype:
             dtype = np.result_type(x.dtype, self.problem.A.dtype)
-            factored = max(
-                (stop - start for start, stop, solver in self.classes
-                 if isinstance(solver, linalg.KroneckerFactorization)),
-                default=0,
-            )
-            self._work = (
-                np.empty(len(self.gather), x.dtype), np.empty(len(self.gather), dtype),
-                np.empty(factored, dtype),
-            )
+            chunks = [(hi - lo, isinstance(solver, linalg.KroneckerFactorization)) for lo, hi, solver in self._chunks()]
+            longest = max(m for m, _ in chunks)
+            factored = max((m for m, is_factored in chunks if is_factored), default=0)
+            self._work = (np.empty(longest, x.dtype), np.empty(longest, dtype), np.empty(factored, dtype))
         xs, ys, zs = self._work
-        np.take(x, self.gather, out=xs, mode="clip")  # "raise" would buffer out in a temporary
-        for start, stop, solver in self.classes:
+        total = np.zeros(len(self.decomposition.multiplicity), ys.dtype)
+        for lo, hi, solver in self._chunks():
+            gather, m = self.gather[lo:hi], hi - lo
+            np.take(x, gather, out=xs[:m], mode="clip")  # "raise" would buffer out in a temporary
             if isinstance(solver, linalg.KroneckerFactorization):
                 stack = (-1, *solver.d.shape)
-                solver.solve(
-                    xs[start:stop].reshape(stack), ys[start:stop].reshape(stack),
-                    zs[:stop - start].reshape(stack),
-                )
+                solver.solve(xs[:m].reshape(stack), ys[:m].reshape(stack), zs[:m].reshape(stack))
             else:
                 s = len(solver)
-                np.matmul(xs[start:stop].reshape(-1, s), solver.T, out=ys[start:stop].reshape(-1, s))
-        n = len(self.decomposition.multiplicity)
-        if np.iscomplexobj(ys):
-            # the real and imaginary parts scattered in one pass, each sum in the same order
-            if self._gather_interleaved is None:
-                self._gather_interleaved = (2 * self.gather[:, None] + np.arange(2)).ravel()
-            total = np.bincount(
-                self._gather_interleaved, weights=ys.view(np.float64), minlength=2 * n
-            ).view(np.complex128)
-        else:
-            total = np.bincount(self.gather, weights=ys, minlength=n)
+                np.matmul(xs[:m].reshape(-1, s), solver.T, out=ys[:m].reshape(-1, s))
+            np.add.at(total, gather, ys[:m])
         if weighted:
             total /= self.decomposition.multiplicity
         out += total
+
+    def _chunks(self):
+        """(lo, hi, solver) of each chunk of the gather, in gather order.
+
+        A class's stretch is cut into as many chunks of _CHUNK_ENTRIES // size
+        members (at least one) as it holds, with the remainder spread over
+        them, so no chunk is a short tail (see the module docstring).
+        """
+        for start, stop, solver in self.classes:
+            size = solver.d.size if isinstance(solver, linalg.KroneckerFactorization) else len(solver)
+            members = (stop - start) // size
+            count = max(members // max(_CHUNK_ENTRIES // size, 1), 1)
+            for j in range(count):
+                yield start + size * (members * j // count), start + size * (members * (j + 1) // count), solver
 
 
 class SchwarzPreconditioner:

@@ -64,7 +64,7 @@ def assert_matches_reference(dec, m):
         assert np.array_equal(got, want)
 
 
-def test_stacked_layout_matches_reference_on_table_layouts():
+def test_box_layout_matches_reference_on_table_layouts():
     layouts = set()
     for which in (1, 2, 3, 4):
         cfg = builtin_table(which)
@@ -83,7 +83,7 @@ def test_stacked_layout_matches_reference_on_table_layouts():
     bc=st.sampled_from(["dirichlet", "sommerfeld"]),
     data=st.data(),
 )
-def test_stacked_layout_matches_reference(p, cells, bc, data):
+def test_box_layout_matches_reference(p, cells, bc, data):
     assume(cells * p >= 2)  # a grid needs n >= 3 nodes per dimension
     part = partition(Grid(cells * p + 1, bc), p)
     m = data.draw(st.integers(0, max_overlap_layers(part) + 1), label="overlap")

@@ -324,8 +324,9 @@ def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
 
 
 def unbuffered_add_to(local_solves, x, out, weighted):
-    """LocalSolves.add_to with fresh arrays: x[gather], the per-member
-    reference.kronecker_solve, then one real bincount per part."""
+    """LocalSolves.add_to with fresh arrays and no chunks: x[gather], one
+    product per dense class, the per-member reference.kronecker_solve per
+    factored class, then one real bincount per part."""
     xs = x[local_solves.gather]
     ys = np.empty(len(xs), dtype=np.result_type(xs.dtype, local_solves.problem.A.dtype))
     for start, stop, solver in local_solves.classes:
@@ -434,6 +435,85 @@ def test_buffered_add_to_is_bit_identical_across_a_dtype_switch(p, ratio):
     rng = np.random.default_rng(2)
     for dtype in (complex, float, complex):
         assert_add_to_bit_identical(local_solves, random_vector(rng, prob.A.shape[0], dtype))
+
+
+def test_first_add_to_keeps_less_than_one_gathered_vector():
+    """Between applies LocalSolves keeps chunk-long buffers only, here two
+    buffers of 722 members of the 49-unknown class: 1.13 MB against the
+    1.24 MB of x[gather] (whole-gather buffers kept 3.7 MB)."""
+    prob, dec, _ = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
+    local_solves = LocalSolves(dec, prob)
+    x = random_vector(np.random.default_rng(0), prob.A.shape[0], complex)
+    out = np.zeros_like(x)
+    tracemalloc.start()
+    try:
+        local_solves.add_to(x, out, weighted=True)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < len(local_solves.gather) * x.itemsize
+
+
+@pytest.mark.parametrize(
+    "n, k, problem, p, ratio",
+    [(161, 40.0, "MP2", 40, 4), (161, 40.0, "MP1", 40, 4), (257, 30.0, "MP1", 16, 16)],
+    ids=["mp2-n161", "mp1-n161", "mp1-n257-H16h"],
+)
+def test_chunked_add_to_is_bit_identical_to_whole_class_products(n, k, problem, p, ratio):
+    """At the production chunk size, add_to equals unbuffered_add_to byte for
+    byte, for real and complex x, weighted or not.  Each layout cuts its
+    largest class: the dense 49-unknown one into two chunks of 722 members,
+    the factored 31 x 31 one of n = 257 into five of 39 or 40."""
+    prob, dec, _ = make_instance(n, k, problem, p, "HOCS", ratio)
+    local_solves = LocalSolves(dec, prob)
+    assert len(list(local_solves._chunks())) > len(local_solves.classes)
+    rng = np.random.default_rng(n)
+    for dtype in (float, complex):
+        assert_add_to_bit_identical(local_solves, random_vector(rng, prob.A.shape[0], dtype))
+
+
+@pytest.mark.parametrize(
+    "n, k, problem, p, ratio",
+    [(161, 40.0, "MP2", 40, 4), (57, 14.0, "MP1", 14, 4), (145, 20.0, "MP1", 9, 16), (257, 30.0, "MP1", 16, 16)],
+    ids=["mp2-n161", "mp1-n57", "mp1-n145-H16h", "mp1-n257-H16h"],
+)
+@pytest.mark.parametrize("members", [1, 3])
+def test_add_to_at_small_chunks_matches_whole_class_products(n, k, problem, p, ratio, members):
+    """With _CHUNK_ENTRIES patched to cut the class of the largest block into
+    chunks of 1 or 3 members (the others into chunks of at least as many, at
+    uneven boundaries), add_to still equals unbuffered_add_to, for real and
+    complex x, weighted or not.
+
+    Where every class is factored (H = 16h) the bytes are equal:
+    KroneckerFactorization.solve gives a member the same bytes in any stack
+    at these box widths (test_kronecker_solve_is_bit_identical_to_per_member_products).
+    A dense class's product of a short chunk is only equal to rounding,
+    1e-14 of the largest entry: OpenBLAS takes gemv for one row and, for
+    real entries, another dgemm kernel for some short products, and those
+    round a row differently (both seen with OpenBLAS 0.3.31).  The
+    production chunks, never shorter than _CHUNK_ENTRIES // size members,
+    give the same bytes on these layouts.
+    """
+    prob, dec, _ = make_instance(n, k, problem, p, "HOCS", ratio)
+    size = max(
+        solver.d.size if isinstance(solver, KroneckerFactorization) else len(solver)
+        for *_, solver in LocalSolves(dec, prob).classes
+    )
+    rng = np.random.default_rng(n)
+    with mock.patch.object(schwarz, "_CHUNK_ENTRIES", members * size):
+        local_solves = LocalSolves(dec, prob)
+        factored = all(isinstance(solver, KroneckerFactorization) for *_, solver in local_solves.classes)
+        for dtype in (float, complex):
+            x = random_vector(rng, prob.A.shape[0], dtype)
+            for weighted in (False, True):
+                got = np.zeros(len(x), np.result_type(x.dtype, prob.A.dtype))
+                want = got.copy()
+                local_solves.add_to(x, got, weighted)
+                unbuffered_add_to(local_solves, x, want, weighted)
+                if factored:
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_resonant_local_block_is_rejected_by_both_paths():
