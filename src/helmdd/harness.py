@@ -267,6 +267,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
             M = SchwarzPreconditioner(pk, prob, decomp, spaces[ck], local_solves=local_solves)
             report = gmres(prob.A, M, prob.f, cfg.gmres)
             iterations[f"{ck}_{pk}"] = report.iterations if report.converged else "x"
+            del M, report  # the next solve runs without this one's x
     solve_seconds = time.perf_counter() - t1
 
     return TableRow(

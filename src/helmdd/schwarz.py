@@ -240,7 +240,11 @@ class SchwarzPreconditioner:
         if x.shape[0] != self.A.shape[0]:
             raise ValueError(f"operator has dimension {self.A.shape[0]}, vector {x.shape[0]}")
         y = coarse_correct(self.coarse_space, x)
-        r = x - self.A @ y if self.kind == "SHS2" else x
+        if self.kind == "SHS2":
+            r = self.A @ y
+            np.subtract(x, r, out=r)
+        else:
+            r = x
         self.local_solves.add_to(r, y, weighted=self.kind != "AS2")
         return y
 

@@ -1,15 +1,18 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmdd.coarse import build_hocs, galerkin
+from helmdd.coarse import build_focs, build_hocs, galerkin
 from helmdd.decomposition import extend_max, partition
 from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig, SolveReport, gmres
 from helmdd.linalg import factorize, solve
-from helmdd.schwarz import SchwarzPreconditioner
+from helmdd.schwarz import LocalSolves, SchwarzPreconditioner
 
 
 def well_conditioned_random(rng, n):
@@ -256,3 +259,109 @@ def test_report_is_dataclass_with_timings():
     report = gmres(np.eye(2), None, np.ones(2))
     assert isinstance(report, SolveReport)
     assert report.wall_seconds >= 0.0
+
+
+def nan_filled(make):
+    """np.empty or np.empty_like whose float arrays come back NaN-filled
+    (NaN + NaN j when complex), so that a read of an unwritten entry shows."""
+
+    def make_filled(*args, **kwargs):
+        a = make(*args, **kwargs)
+        if a.dtype.kind == "f":
+            a.fill(np.nan)
+        elif a.dtype.kind == "c":
+            a.fill(complex(np.nan, np.nan))
+        return a
+
+    return make_filled
+
+
+def report_bytes(report):
+    return (
+        report.iterations,
+        report.converged,
+        report.breakdown,
+        report.final_residual,
+        report.residual_history.tobytes(),
+        report.x.tobytes(),
+    )
+
+
+def table_cell_reports(problem, n, k, ratio, cfg):
+    """Reports of one cell built from scratch: every coarse space,
+    preconditioner and side, sharing one LocalSolves."""
+    grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
+    prob = assemble(grid, k, problem)
+    dec = extend_max(partition(grid, (n - 1) // ratio))
+    local_solves = LocalSolves(dec, prob)
+    reports = []
+    for builder in (build_focs, build_hocs):
+        cs = galerkin(builder(grid, ratio), prob)
+        for kind in ("AS2", "SAS2", "SHS2"):
+            for side in ("left", "right"):
+                M = SchwarzPreconditioner(kind, prob, dec, cs, local_solves=local_solves)
+                reports.append(report_bytes(gmres(prob.A, M, prob.f, replace(cfg, side=side))))
+    return reports
+
+
+@pytest.mark.parametrize(
+    "problem, n, k, ratio, cfg",
+    [
+        ("MP2", 33, 8.0, 4, GmresConfig()),
+        ("MP1", 33, 8.0, 4, GmresConfig()),
+        ("MP1", 33, 8.0, 16, GmresConfig()),  # 23 x 23 boxes: a factored class
+        ("MP1", 33, 8.0, 4, GmresConfig(rtol=1e-12, max_iter=3)),
+    ],
+    ids=["mp2", "mp1", "mp1-factored", "mp1-max-iter"],
+)
+def test_no_unwritten_memory_is_read(monkeypatch, problem, n, k, ratio, cfg):
+    """With np.empty and np.empty_like returning NaN-filled arrays, every
+    report of a cell built and solved from scratch (the GMRES basis,
+    LocalSolves' chunk buffers and KroneckerFactorization.solve's out and
+    work among them) is byte-equal to the report of an unpatched run."""
+    want = table_cell_reports(problem, n, k, ratio, cfg)
+    if cfg.max_iter == 3:
+        assert not any(converged for _, converged, *_ in want)
+    monkeypatch.setattr(np, "empty", nan_filled(np.empty))
+    monkeypatch.setattr(np, "empty_like", nan_filled(np.empty_like))
+    assert table_cell_reports(problem, n, k, ratio, cfg) == want
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_happy_breakdown_reads_no_unwritten_memory(monkeypatch, side):
+    """The breakdown at the second step leaves the basis row after it unwritten."""
+    A, b, cfg = np.diag([2.0, 2.0, 2.0, 5.0]), np.ones(4), GmresConfig(rtol=1e-12, side=side)
+    want = report_bytes(gmres(A, None, b, cfg))
+    monkeypatch.setattr(np, "empty", nan_filled(np.empty))
+    monkeypatch.setattr(np, "empty_like", nan_filled(np.empty_like))
+    assert report_bytes(gmres(A, None, b, cfg)) == want
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_only_the_operand_is_live_across_an_apply(side):
+    """From the third preconditioner apply of an MP2 solve on, the traced
+    memory beyond the basis and LocalSolves' chunk buffers (b was allocated
+    before tracing) is at most one N-vector, the apply's operand (a view of
+    the basis under right preconditioning), plus the small Hessenberg and
+    Givens arrays.  GMRES holds neither r0, q0 nor the previous w."""
+    grid = Grid(81, "sommerfeld")
+    prob = assemble(grid, 20.0, "MP2")
+    M = SchwarzPreconditioner("SHS2", prob, extend_max(partition(grid, 20)), galerkin(build_hocs(grid, 4), prob))
+    cfg = GmresConfig(max_iter=20, side=side)
+    vector = prob.A.shape[0] * 16
+    basis = (cfg.max_iter + 1) * vector
+    extra = []
+
+    def traced_apply(x):
+        buffers = sum(a.nbytes for a in M.local_solves._work or ())
+        extra.append(tracemalloc.get_traced_memory()[0] - basis - buffers)
+        return M(x)
+
+    tracemalloc.start()
+    try:
+        report = gmres(prob.A, traced_apply, prob.f, cfg)
+    finally:
+        tracemalloc.stop()
+    assert report.converged and len(extra) > 4
+    # H, g, the Givens arrays and the residual history take under 16 KB here
+    assert max(extra[2:]) <= vector + 32 * 1024

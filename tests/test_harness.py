@@ -1,11 +1,12 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from helmdd import cli
-from helmdd.gmres import GmresConfig
+from helmdd import cli, harness
+from helmdd.gmres import GmresConfig, gmres
 from helmdd.harness import (
     ConfigError,
     ExperimentConfig,
@@ -251,6 +252,30 @@ def test_run_experiment_marks_nonconvergence():
     )
     (row,) = run_experiment(cfg, warn=lambda m: None)
     assert row.iterations["FOCS_AS2"] == "x"
+
+
+def test_no_finished_solve_is_live_at_the_next(monkeypatch):
+    """Of a table 1 cell's six solves, each from the second on starts with
+    no earlier report (its N-length x) or preconditioner alive: the traced
+    memory at its entry exceeds that at the first solve's entry by less than
+    one N-vector, once LocalSolves' chunk buffers, allocated by the first
+    solve's first apply, are set aside."""
+    cfg = replace(builtin_table(1), k_list=(20,), n_list=(81,))
+    at_entry = []
+
+    def traced_gmres(A, M, b, gmres_cfg):
+        buffers = sum(a.nbytes for a in M.local_solves._work or ())
+        at_entry.append(tracemalloc.get_traced_memory()[0] - buffers)
+        return gmres(A, M, b, gmres_cfg)
+
+    monkeypatch.setattr(harness, "gmres", traced_gmres)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, warn=lambda m: None)
+    finally:
+        tracemalloc.stop()
+    assert len(at_entry) == 6
+    assert max(at_entry[1:]) - at_entry[0] < 81 * 81 * 16
 
 
 def test_run_experiment_rejects_even_n_mp1():
