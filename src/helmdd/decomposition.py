@@ -23,9 +23,10 @@ unknown coordinates, plus the N node multiplicities: subdomain i = ay*p + ax
 is the box of unknown rows lo[ay]..hi[ay] and columns lo[ax]..hi[ax], and
 the diagonal of D_i is 1/multiplicity on that box.  A node's multiplicity is
 the product of the numbers of intervals holding its row and its column.
-No array of one entry per subdomain entry is stored: box() gives a
-subdomain's bounds and box_indices() forms the index sets of boxes on
-demand, and no other module reads lo and hi.
+No array of one entry per subdomain entry is stored: box_indices() forms the
+index sets of boxes on demand, interval_classes() groups the intervals by
+the restrictions of the 1D factors T and W to them, and no other module
+reads lo and hi.
 """
 
 from __future__ import annotations
@@ -114,58 +115,43 @@ def extend_max(part: Partition) -> Decomposition:
     return extend(part, max_overlap_layers(part))
 
 
-def box(decomp: Decomposition, i: int) -> tuple:
-    """((y_lo, y_hi), (x_lo, x_hi)): the first and last unknown row and
-    column of subdomain i's box."""
-    ay, ax = divmod(i, decomp.p)
+def box_indices(decomp: Decomposition, ys, xs) -> np.ndarray:
+    """Unknown indices of the subdomains (ay, ax) for ay in ys and ax in xs,
+    one row per subdomain in subdomain order: its box's entries, rows outer
+    and columns inner, in increasing order.  The intervals of ys share one
+    length, as do those of xs."""
     lo, hi = decomp.lo, decomp.hi
-    return (lo[ay], hi[ay]), (lo[ax], hi[ax])
-
-
-def box_indices(decomp: Decomposition, members) -> np.ndarray:
-    """Unknown indices of subdomains that share one box shape, one row per
-    member: its box's entries, rows outer and columns inner, in increasing
-    order.  The shape is read from members[0]."""
-    ay, ax = np.divmod(members, decomp.p)
-    (y0, y1), (x0, x1) = box(decomp, members[0])
-    rows = decomp.lo[ay, None] + np.arange(y1 - y0 + 1)
-    cols = decomp.lo[ax, None] + np.arange(x1 - x0 + 1)
-    return (rows[:, :, None] * decomp.grid.unknowns_per_dim + cols[:, None, :]).reshape(len(ay), -1)
+    rows = lo[ys, None] + np.arange(hi[ys[0]] - lo[ys[0]] + 1)
+    cols = lo[xs, None] + np.arange(hi[xs[0]] - lo[xs[0]] + 1)
+    idx = rows[:, None, :, None] * decomp.grid.unknowns_per_dim + cols[None, :, None, :]
+    return idx.reshape(len(rows) * len(cols), -1)
 
 
 def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matrix:
     """Principal submatrix R_i A R_i^T of A on subdomain i."""
-    idx = box_indices(decomp, [i])[0]
+    idx = box_indices(decomp, *np.divmod([i], decomp.p))[0]
     return A[idx][:, idx]
 
 
-def block_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
-    """Group the subdomains by the content of their blocks R_i A R_i^T.
+def interval_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
+    """Group the p 1D intervals by the restrictions of problem's 1D factors
+    T and W to them (discretization.assemble), compared bit for bit.
 
-    Returns (labels, representatives): labels[i] is the class of subdomain
-    i, and representatives[c] is the first subdomain of class c.
-
-    A subdomain is a box Y x X of two of the p 1D intervals, and its block
-    is the Kronecker sum T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X of the
-    restrictions of the 1D factors T and W of problem
-    (discretization.assemble).  Each interval is classed by the entries of T
-    and W on it, compared bit for bit, and a subdomain's class is its
-    (Y class, X class) pair, so every member's local_matrix equals its
-    representative's.  Distinct pairs can still give equal blocks (an MP1
-    box of width 1 and its transpose); they stay separate classes.
+    Returns (classes, blocks): classes[a] is interval a's class, numbered by
+    first appearance, and blocks[c] the dense (T, W) restricted to class c's
+    first interval.  Subdomain ay * p + ax has the block
+    T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X of its intervals Y = ay and X = ax,
+    so subdomains whose (Y class, X class) pairs agree have equal blocks.
+    Distinct pairs can still give equal blocks (an MP1 box of width 1 and
+    its transpose).
     """
     lo, hi = decomp.lo, decomp.hi
     if (hi < lo).any():
         raise ValueError("an empty subdomain has no block")
     T, W = problem.T.toarray(), problem.W.toarray()
-    content: dict = {}
-    interval_class = np.array([
-        content.setdefault(T[a:b + 1, a:b + 1].tobytes() + W[a:b + 1, a:b + 1].tobytes(), len(content))
-        for a, b in zip(lo, hi)
-    ])
-    # subdomain ay * p + ax is the pair (class of interval ay, class of interval ax)
-    pairs = (interval_class[:, None] * len(content) + interval_class).ravel()
-    _, members, label = np.unique(pairs, return_index=True, return_inverse=True)
-    # number the classes by their first member, in subdomain order
-    order = np.argsort(members)
-    return np.argsort(order)[label.ravel()], members[order]
+    content: dict = {}  # bytes of T and W on an interval -> (its class, T and W on it)
+    classes = []
+    for a, b in zip(lo, hi):
+        t, w = T[a:b + 1, a:b + 1], W[a:b + 1, a:b + 1]
+        classes.append(content.setdefault(t.tobytes() + w.tobytes(), (len(content), (t, w)))[0])
+    return np.array(classes), [block for _, block in content.values()]

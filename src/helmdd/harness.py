@@ -2,17 +2,17 @@
 collects GMRES iteration counts into table rows, and writes CSV reports.
 
 A sweep cell builds the problem once, builds its local solves once with
-schwarz.LocalSolves (the subdomains classed by the restrictions of the 1D
-factors T and W to their two 1D intervals, and one block per class factored
-in those intervals' eigenbases), and shares them across all preconditioner
-kinds; the Galerkin coarse problem is built once per coarse kind.
-Nonconverged solves are reported with the literal 'x' in place of the
-iteration count.  Reruns of the same
-configuration at a fixed BLAS thread count produce identical counts; only
-the timing columns vary.  Cells whose residual stagnates near the tolerance
-(FOCS on MP1, or kappa_H > 1) move by a few iterations, or across the cap,
-under any change of rounding; no HOCS cell with kappa_H <= 1 moves.  README's
-"Command line" section lists the counts that have moved.
+schwarz.LocalSolves (the 1D intervals classed by the restrictions of the 1D
+factors T and W to them, one eigenbasis per interval class, and one block
+per pair of classes), and shares them across all preconditioner kinds; the
+Galerkin coarse problem is built once per coarse kind.  Nonconverged solves
+are reported with the literal 'x' in place of the iteration count.  Reruns
+of the same configuration at a fixed BLAS thread count produce identical
+counts; only the timing columns vary.  Cells whose residual stagnates near
+the tolerance (FOCS on MP1, or kappa_H > 1) move by a few iterations, or
+across the cap, under any change of rounding; no HOCS cell with
+kappa_H <= 1 moves.  README's "Command line" section lists the counts that
+have moved.
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig:
+    """The ExperimentConfig of key = value strings; a key left out takes the
+    default of ExperimentConfig or GmresConfig."""
     known = {
         "problem", "k", "n", "sweep", "coarse_ratio", "coarse", "preconditioners",
         "overlap", "rtol", "max_iter", "precond_side", "out",
@@ -140,31 +142,31 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
             raise ConfigError(f"{origin}: {key} must be at least {minimum}, got {text!r}")
         return int(v)
 
-    problem = str(values.get("problem", "MP1")).upper()
+    problem = str(values.get("problem", ExperimentConfig.problem)).upper()
     if problem not in PROBLEMS:
         raise ConfigError(f"{origin}: problem must be one of {PROBLEMS}, got {problem!r}")
     k_list = tuple(positive("k", v) for v in as_list("k", ()))
     n_list = tuple(integer("n", v, 3) for v in as_list("n", ()))
     if not k_list or not n_list:
         raise ConfigError(f"{origin}: both k and n sweep lists are required")
-    sweep = str(values.get("sweep", "paired")).lower()
+    sweep = str(values.get("sweep", ExperimentConfig.sweep)).lower()
     if sweep not in ("paired", "product"):
         raise ConfigError(f"{origin}: sweep must be 'paired' or 'product', got {sweep!r}")
-    coarse_kinds = tuple(v.upper() for v in as_list("coarse", ("HOCS",)))
+    coarse_kinds = tuple(v.upper() for v in as_list("coarse", ExperimentConfig.coarse_kinds))
     for ck in coarse_kinds:
         if ck not in COARSE_KINDS:
             raise ConfigError(f"{origin}: unknown coarse space {ck!r}")
-    preconds = tuple(v.upper() for v in as_list("preconditioners", ("SHS2",)))
+    preconds = tuple(v.upper() for v in as_list("preconditioners", ExperimentConfig.preconditioners))
     for pk in preconds:
         if pk not in PRECONDITIONER_KINDS:
             raise ConfigError(f"{origin}: unknown preconditioner {pk!r}")
-    overlap_raw = str(values.get("overlap", "max")).lower()
+    overlap_raw = str(values.get("overlap", ExperimentConfig.overlap)).lower()
     overlap = "max" if overlap_raw == "max" else integer("overlap", overlap_raw, 0)
-    rtol = float(positive("rtol", values.get("rtol", 1e-7)))
-    max_iter = integer("max_iter", values.get("max_iter", 100), 1)
+    rtol = float(positive("rtol", values.get("rtol", GmresConfig.rtol)))
+    max_iter = integer("max_iter", values.get("max_iter", GmresConfig.max_iter), 1)
     try:
         gcfg = GmresConfig(
-            rtol=rtol, max_iter=max_iter, side=str(values.get("precond_side", "right")).lower()
+            rtol=rtol, max_iter=max_iter, side=str(values.get("precond_side", GmresConfig.side)).lower()
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
@@ -173,7 +175,7 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
         k_list=k_list,
         n_list=n_list,
         sweep=sweep,
-        coarse_ratio=integer("coarse_ratio", values.get("coarse_ratio", 4), 1),
+        coarse_ratio=integer("coarse_ratio", values.get("coarse_ratio", ExperimentConfig.coarse_ratio), 1),
         coarse_kinds=coarse_kinds,
         preconditioners=preconds,
         overlap=overlap,

@@ -12,21 +12,18 @@ factor (I - A C) deflates the coarse space out of the residual before the
 local solves.  In SHS2 the coarse solve C x is computed once and shared
 between the additive term and the deflation factor.
 
-The local blocks R_i A R_i^T of the model problems repeat.  A subdomain is
-a box Y x X, and its block is fixed by the 1D factors T and W of
-A = T(x)W + W(x)T - k^2 W(x)W restricted to Y and to X.  Up to the maximum
-overlap the 1D intervals fall into at most 3 classes of equal restrictions
-(first, interior, last), so at most 9 distinct blocks remain, however many
-subdomains there are.  decomposition.block_classes labels each subdomain by
-its (Y class, X class) pair.  The one-level term is applied class by class
-to chunks of the gather G of every subdomain's entries: for each chunk one
-take of x[G], one batched solve and one scatter-add.
-Every class block is the Kronecker sum T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X
-and is factored in the eigenbases of its two 1D pencils (linalg.eigenbasis,
-computed once per distinct interval, and linalg.factorize_kronecker).  No
-local block is assembled and no sparse LU is formed; the tests hold both
-forms against SuperLU on the assembled blocks.  A class takes one of two
-forms:
+The local solves are built from classes of the p 1D intervals.  Subdomain
+ay * p + ax is the box Y x X of intervals ay and ax, and its block
+R_i A R_i^T is the Kronecker sum T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X of
+the 1D factors of A = T(x)W + W(x)T - k^2 W(x)W restricted to Y and to X.
+decomposition.interval_classes groups the intervals by those restrictions.
+Up to the maximum overlap there are at most 3 classes (first, interior,
+last), so at most 9 distinct blocks remain, however many subdomains there
+are.  LocalSolves computes one linalg.eigenbasis per interval class; its
+block classes are the (Y class, X class) pairs, in the order of their first
+subdomains, each factored by linalg.factorize_kronecker.  No local block is
+assembled and no sparse LU is formed; the tests hold both forms against
+SuperLU on the assembled blocks.  A class takes one of two forms:
 
 * A block of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns is kept as its dense
   inverse (Q_Y(x)Q_X) D^{-1} (V_Y(x)V_X).  The class solve is one matrix
@@ -38,121 +35,91 @@ forms:
   each), and a division, written into LocalSolves' buffers.  No dense
   inverse is formed.
 
-The rule, 441 unknowns (a 21 x 21 box), sits at or above the measured
-crossover of the apply time.  For one class of 65,536 gathered entries, on
-a 2-core x86-64 machine with OpenBLAS at 2 threads, the dense product and
-the factored solve took 0.59-0.68 and 0.44 ms on 19 x 19 boxes, 0.64-0.82
-and 0.40-0.43 ms on 21 x 21 and 0.95-0.98 and 0.46-0.47 ms on 23 x 23 for
-real entries, and 1.8-2.4 and 1.6-1.8 ms, 2.5-2.8 and 1.8 ms, 3.7-3.8 and
-2.1-2.6 ms for complex ones (medians of 300 calls in each of two runs).
-The crossover lies near 17 x 17; before the factored solve took its
-n_X x n_X products as one GEMM per class, repeated runs put it between
-17 x 17 and 23 x 23.  On 7 x 7 boxes the factored solve is 3 (real) to
-5-8 (complex) times slower.  Tables 1-3 have boxes of at most 7 x 7 and
-table 4 of at least 23 x 23, so any rule from 49 to 528 unknowns gives
-them the same forms.
+The one-level term is applied class by class to chunks of the gather G of
+every subdomain's entries, in class order: for each chunk one take of x[G]
+into a kept buffer, one batched solve into a second (a factored solve uses
+a third between its products) and one np.add.at into a zeroed grid vector.
+ufunc.at adds in index order into zeros, so one scatter serves real and
+complex products with the same bytes.  The weights D_i are the inverse node
+multiplicities, so sum_i R_i^T D_i y_i = D sum_i R_i^T y_i with
+D = diag(1/multiplicity): the scaled variants divide the scattered sum by
+the multiplicity.
 
-The weights D_i are the inverse node multiplicities, so
-sum_i R_i^T D_i y_i = D sum_i R_i^T y_i with D = diag(1/multiplicity): the
-scaled variants divide the scattered sum by the multiplicity.  The dense
-inverses take sum over the dense classes of s_c^2 entries for block sizes
-s_c (234 KB for MP2 at k = 200).  A factored class keeps its n_Y x n_X
-eigenvalue sums, and each distinct interval of n nodes 2 n^2 + n numbers:
-47 KB for the 4 classes of the table 4 cell n = 257, where their dense
-inverses took 17.8 MB.  The Decomposition holds its 1D interval bounds and
-the N node multiplicities (5.1 MB for MP2 at k = 200).  The only copy of
-the subdomain indices is LocalSolves' class-ordered gather, 8 bytes per
-subdomain entry (15.6 MB for MP2 at k = 200, 1.95 million entries),
-formed class by class with decomposition.box_indices.
+The dense inverses take s_c^2 entries for a class of block size s_c; a
+factored class keeps its n_Y x n_X eigenvalue sums, and each interval class
+of n nodes 2 n^2 + n numbers.  The only copy of the subdomain indices is the
+gather, 8 bytes per subdomain entry (15.6 MB for MP2 at k = 200), formed
+class by class with decomposition.box_indices; the chunk buffers hold one
+member or fewer than 2 _CHUNK_ENTRIES entries.
 
-LocalSolves.add_to cuts each class's stretch of the gather into chunks of
-whole members: as many chunks of _CHUNK_ENTRIES // size members as the
-class holds, the remainder spread over them.  A chunk's entries of x are
-taken into one buffer and solved into a second (a factored solve uses a
-third between its products), which np.add.at adds into one zeroed grid
-vector.  ufunc.at adds in index order into zeros, as bincount did, so one
-scatter serves real and complex products with the same bytes.  The buffers
-are kept between applies and hold one member or fewer than
-2 _CHUNK_ENTRIES entries, about _CHUNK_ENTRIES in a large class: a first
-add_to leaves 1.06 MB behind for MP2 at k = 200 and 0.53 MB for MP1
-(tracemalloc), where buffers as long as the gather, plus interleaved
-indices 2g, 2g + 1 for a complex bincount, left 93.8 MB and 31.2 MB.  Two
-complex chunk buffers take 1.06 MB and three 1.6 MB, within the 2 MB L2
-cache of one core of the 2-core x86-64 machine measured.  There add_to
-took 23-25 ms against 30 ms for MP2 at k = 200 and 11.5 against 13-15 ms
-for MP1 (medians of 30 calls in each of two processes).  For MP1 at
-k = 80, whose 2.5 MB gather fits the caches whole, it took 1.65 against
-1.5 ms (medians of 300 calls in each of three processes): each chunk's
-product is one more OpenBLAS call.  No chunk is a short tail: OpenBLAS picks its kernel by
-the product's shape, gemv for one row and, for real entries, another
-dgemm kernel for some short products, and those round a row of a dense
-class product differently.  A plain run of 668-member chunks left a
-108-member tail in MP1 n = 161's 49-unknown class, whose rows then moved
-by rounding.  With chunks of at least _CHUNK_ENTRIES // size members the
-chunked apply gives the bytes of one product per class on every layout
-of tables 1-4 (OpenBLAS 0.3.31).
+CHANGES.md holds the measurements behind the two constants below: the
+dense/factored crossover medians in the entry that builds the local solves
+from interval classes, the chunk memory and time figures in the entry that
+streams the apply through chunks.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .coarse import CoarseSpace, coarse_correct
-from .decomposition import Decomposition, block_classes, box, box_indices
+from .decomposition import Decomposition, box_indices, interval_classes
 from .discretization import HelmholtzProblem
 
 PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
 
-# Class blocks of at most this many unknowns keep a dense inverse; larger ones
-# are solved in their Kronecker eigenbasis (see the module docstring).
+# Class blocks of at most this many unknowns (a 21 x 21 box) keep a dense
+# inverse; larger ones are solved in their Kronecker eigenbasis.  The rule sits
+# at or above the measured crossover of the apply time, near 17 x 17.  Tables
+# 1-3 have boxes of at most 7 x 7 and table 4 of at least 23 x 23, so any rule
+# from 49 to 528 unknowns gives them the same forms.
 DENSE_BLOCK_MAX_UNKNOWNS = 441
 
 # LocalSolves.add_to cuts a class's stretch of the gather into chunks of
-# _CHUNK_ENTRIES // size whole members (see the module docstring).
+# _CHUNK_ENTRIES // size whole members (at least one), the remainder spread
+# over them.  No chunk is a short tail: OpenBLAS picks its kernel by the
+# product's shape (gemv for one row, and for real entries another dgemm kernel
+# for some short products), and those round a dense class's rows differently.
+# So the chunked apply gives the bytes of one product per class on every layout
+# of tables 1-4 (OpenBLAS 0.3.31).  Three complex chunk buffers of this size
+# take 1.6 MB, within a 2 MB L2 cache.
 _CHUNK_ENTRIES = 32768
 
 
 class LocalSolves:
     """The one-level term sum_i R_i^T [D_i] (R_i A R_i^T)^{-1} R_i, batched by block class.
 
-    Classes the subdomains of decomposition by their blocks of problem's A
-    (decomposition.block_classes) and factors each class block in the
-    eigenbases of its box's two 1D intervals, one linalg.eigenbasis per
-    distinct interval.  A class of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns
-    keeps its dense inverse, any other its KroneckerFactorization (see the
-    module docstring).  Raises linalg.SingularMatrixError on a resonant
-    block.  One object serves every preconditioner kind built on the same
-    problem and decomposition, and records both.
+    Classes the 1D intervals of decomposition (decomposition.interval_classes),
+    computes one linalg.eigenbasis per interval class, and factors the block
+    of each (Y class, X class) pair in the eigenbases of its two classes.  A
+    class of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns keeps its dense
+    inverse, any other its KroneckerFactorization (see the module
+    docstring).  Raises linalg.SingularMatrixError on a resonant block.  One
+    object serves every preconditioner kind built on the same problem and
+    decomposition, and records both.
     """
 
     def __init__(self, decomposition: Decomposition, problem: HelmholtzProblem):
         self.decomposition = decomposition
         self.problem = problem
-        labels, representatives = block_classes(decomposition, problem)
-        T, W = sp.csr_matrix(problem.T), sp.csr_matrix(problem.W)
-        bases: dict = {}
-
-        def basis(lo, hi):
-            if (lo, hi) not in bases:
-                bases[lo, hi] = linalg.eigenbasis(
-                    T[lo:hi + 1, lo:hi + 1].toarray(), W[lo:hi + 1, lo:hi + 1].toarray()
-                )
-            return bases[lo, hi]
-
+        classes, blocks = interval_classes(decomposition, problem)
+        bases = [linalg.eigenbasis(T, W) for T, W in blocks]
+        members = [np.flatnonzero(classes == c) for c in range(len(blocks))]
         gather = []
         self.classes = []  # (start, stop, solver) of each class's stretch of the gather
         start = 0
-        for c, representative in enumerate(representatives):
-            y, x = box(decomposition, representative)
-            F = linalg.factorize_kronecker(basis(*y), basis(*x), problem.k)
+        # the block classes are the (Y class, X class) pairs, in the order of their first subdomains
+        for cy, cx in itertools.product(range(len(blocks)), repeat=2):
+            F = linalg.factorize_kronecker(bases[cy], bases[cx], problem.k)
             size = F.d.size
             if size > DENSE_BLOCK_MAX_UNKNOWNS:
                 solver = F
             else:  # solved for the identity's columns: 3x less rounding than kron(Q_y, Q_x) @ ...
                 solver = F.solve(np.eye(size).reshape(size, *F.d.shape)).reshape(size, size).T
-            gather.append(box_indices(decomposition, np.flatnonzero(labels == c)).ravel())
+            gather.append(box_indices(decomposition, members[cy], members[cx]).ravel())
             stop = start + len(gather[-1])
             self.classes.append((start, stop, solver))
             start = stop

@@ -17,7 +17,7 @@ def r0(cs):
 
 def subdomains(dec):
     """The index set of every subdomain, in subdomain order."""
-    return [box_indices(dec, [i])[0] for i in range(dec.num_subdomains)]
+    return [box_indices(dec, [ay], [ax])[0] for ay in range(dec.p) for ax in range(dec.p)]
 
 
 def weights(dec):

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helmdd.decomposition import (
-    block_classes,
     extend,
     extend_max,
+    interval_classes,
     local_matrix,
     max_overlap_layers,
     partition,
@@ -207,9 +207,10 @@ def test_local_matrices_are_principal_submatrices():
 
 
 def reference_block_classes(dec, prob, overlap):
-    """block_classes as first written: each interval keyed by the CSR arrays
-    of T and W sliced to it, the intervals found by a 2D np.unique of their
-    (lo, hi) bounds, and the boxes read from reference_decomposition."""
+    """The subdomain labels and first members of the block classes as first
+    written: each interval keyed by the CSR arrays of T and W sliced to it,
+    the intervals found by a 2D np.unique of their (lo, hi) bounds, and the
+    boxes read from reference_decomposition."""
     sets, _, _ = reference_decomposition(dec.grid, dec.p, overlap)
     m = dec.grid.unknowns_per_dim
     y0, x0 = np.divmod([idx[0] for idx in sets], m)
@@ -234,15 +235,20 @@ def reference_block_classes(dec, prob, overlap):
     return np.argsort(order)[label.ravel()], members[order]
 
 
+def block_labels(dec, prob):
+    """The subdomain labels interval_classes implies: subdomain ay * p + ax is
+    labelled classes[ay] * C + classes[ax], for C interval classes."""
+    classes, blocks = interval_classes(dec, prob)
+    return (classes[:, None] * len(blocks) + classes).ravel()
+
+
 def assert_classes_match_reference(dec, prob, overlap):
-    labels, representatives = block_classes(dec, prob)
-    want_labels, want_representatives = reference_block_classes(dec, prob, overlap)
-    assert np.array_equal(labels, want_labels)
-    assert np.array_equal(representatives, want_representatives)
+    labels, _ = reference_block_classes(dec, prob, overlap)
+    assert np.array_equal(block_labels(dec, prob), labels)
 
 
 def test_block_classes_match_reference_on_table_layouts():
-    """The bounds-keyed classing reproduces the reference on every table layout
+    """The interval classing reproduces the reference on every table layout
     of k <= 100 (at the first k of each n) and on the benchmark's cells."""
     layouts = [("MP2", 401, 100, 100.0), ("MP1", 321, 80, 80.0), ("MP1", 257, 16, 5.0)]
     for which in (1, 2, 3, 4):
@@ -274,12 +280,17 @@ def test_block_classes_group_identical_blocks(problem, p, cells, k, data):
     overlap = data.draw(st.integers(0, max_overlap_layers(part)), label="overlap")
     dec = extend(part, overlap)
     assert_classes_match_reference(dec, prob, overlap)
-    labels, representatives = block_classes(dec, prob)
-    assert len(labels) == dec.num_subdomains
-    assert len(representatives) <= 9
-    assert np.array_equal(labels[representatives], np.arange(len(representatives)))
-    # each representative is the first member of its class
-    assert np.array_equal(np.unique(labels, return_index=True)[1], representatives)
+    classes, blocks = interval_classes(dec, prob)
+    assert len(classes) == dec.p and len(blocks) <= 3
+    # numbered by first appearance, each class's block taken on its first interval
+    values, first = np.unique(classes, return_index=True)
+    assert np.array_equal(values, np.arange(len(blocks))) and np.array_equal(np.sort(first), first)
+    T, W = prob.T.toarray(), prob.W.toarray()
+    for a, (lo, hi) in enumerate(zip(dec.lo, dec.hi)):
+        t, w = blocks[classes[a]]
+        assert np.array_equal(t, T[lo:hi + 1, lo:hi + 1]) and np.array_equal(w, W[lo:hi + 1, lo:hi + 1])
+    labels = block_labels(dec, prob)
+    representatives = np.unique(labels, return_index=True)[1]
     for i in range(dec.num_subdomains):
         block = local_matrix(dec, i, prob.A)
         rep = local_matrix(dec, representatives[labels[i]], prob.A)
@@ -291,7 +302,7 @@ def test_block_classes_reject_empty_subdomains():
     # one cell per box: the owned nodes of the last box row and column are boundary nodes
     grid = Grid(9, "dirichlet")
     with pytest.raises(ValueError, match="empty subdomain"):
-        block_classes(extend(partition(grid, 8), 0), assemble(grid, 2.0, "MP1"))
+        interval_classes(extend(partition(grid, 8), 0), assemble(grid, 2.0, "MP1"))
 
 
 def test_block_classes_of_the_table_cells():
@@ -303,9 +314,9 @@ def test_block_classes_of_the_table_cells():
     for problem, n, p, distinct in cells:
         grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
         dec = extend_max(partition(grid, p))
-        labels, representatives = block_classes(dec, assemble(grid, 10.0, problem))
-        assert len(representatives) == distinct
-        assert np.bincount(labels).sum() == dec.num_subdomains
+        prob = assemble(grid, 10.0, problem)
+        _, blocks = interval_classes(dec, prob)
+        assert len(blocks) ** 2 == len(LocalSolves(dec, prob).classes) == distinct
     # every class of tables 1-3 keeps its dense inverse, every class of table 4 is factored
     for which in (1, 2, 3, 4):
         cfg = builtin_table(which)
@@ -316,7 +327,7 @@ def test_block_classes_of_the_table_cells():
             grid = Grid(n, "dirichlet" if cfg.problem == "MP1" else "sommerfeld")
             dec = extend_max(partition(grid, (n - 1) // cfg.coarse_ratio))
             prob = assemble(grid, k, cfg.problem)
-            _, representatives = block_classes(dec, prob)
+            _, blocks = interval_classes(dec, prob)
             forms = [type(solver) for *_, solver in LocalSolves(dec, prob).classes]
             form = KroneckerFactorization if which == 4 else np.ndarray
-            assert forms == [form] * len(representatives), (which, n)
+            assert forms == [form] * len(blocks) ** 2, (which, n)

@@ -60,6 +60,7 @@ class TestParseConfig:
         assert cfg.sweep == "paired"
         assert cfg.coarse_ratio == 4
         assert cfg.gmres.side == "right"
+        assert cfg == ExperimentConfig(problem="MP2", k_list=(5,), n_list=(9,))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

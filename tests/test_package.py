@@ -120,6 +120,25 @@ def test_every_import_is_used():
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
+def test_every_public_name_has_a_caller():
+    """Each public module-level function or class of helmdd is read by helmdd's
+    own code besides its definition (docstrings and comments do not count), is
+    named in perfbench/, or is exported in helmdd.__all__: no public helper
+    lives for its tests alone."""
+    defined, referenced = {}, set(helmdd.__all__)
+    for path in sorted(Path(helmdd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        referenced |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        referenced |= set(re.findall(r"\w+", path.read_text()))
+    uncalled = sorted(f"{where} {name}" for name, where in defined.items() if name not in referenced)
+    assert not uncalled, f"public names without a caller: {uncalled}"
+
+
 def test_sparse_lu_stays_in_linalg():
     """Only linalg.py imports scipy.sparse.linalg, and coarse.py uses no sparse LU."""
     for path in sorted(Path(helmdd.__file__).parent.glob("*.py")):
@@ -161,7 +180,8 @@ def test_no_solver_path_calls_sparse_lu():
 def test_only_decomposition_reads_the_box_layout():
     """No helmdd module but decomposition.py reads an attribute named lo, hi,
     indices or offsets: the layout of a Decomposition is known in one module,
-    and the others go through decomposition.box and box_indices."""
+    and the others go through decomposition.box_indices, interval_classes and
+    local_matrix."""
     layout = {"lo", "hi", "indices", "offsets"}
     for path in sorted(Path(helmdd.__file__).parent.glob("*.py")):
         if path.name == "decomposition.py":

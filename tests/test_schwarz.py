@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from helmdd import schwarz
 from helmdd.coarse import build_focs, build_hocs, galerkin
 from helmdd.decomposition import (
-    block_classes,
-    box,
     extend,
     extend_max,
+    interval_classes,
     local_matrix,
     max_overlap_layers,
     partition,
@@ -300,7 +299,8 @@ def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
     part = partition(grid, p)
     assume(overlap <= max_overlap_layers(part))
     dec = extend(part, overlap)
-    _, representatives = block_classes(dec, prob)
+    first = np.unique(interval_classes(dec, prob)[0], return_index=True)[1]
+    representatives = [ay * p + ax for ay in first for ax in first]  # each block class's first subdomain
     production = LocalSolves(dec, prob).classes
     with mock.patch.object(schwarz, "DENSE_BLOCK_MAX_UNKNOWNS", 0):
         factored = LocalSolves(dec, prob).classes
@@ -516,6 +516,29 @@ def test_add_to_at_small_chunks_matches_whole_class_products(n, k, problem, p, r
                     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize(
+    "problem, n, p, k, calls",
+    [("MP2", 401, 100, 100.0, 3), ("MP1", 321, 80, 80.0, 2), ("MP1", 257, 16, 5.0, 2)],
+    ids=["mp2-n401", "mp1-n321", "mp1-n257-H16h"],
+)
+def test_one_eigenbasis_per_interval_class(problem, n, p, k, calls):
+    """LocalSolves computes linalg.eigenbasis once per class of equal 1D
+    intervals on the benchmark's layouts: first, interior and last on MP2,
+    whose Sommerfeld rows tell the ends apart; ends and interior on MP1."""
+    grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
+    prob, dec = assemble(grid, k, problem), extend_max(partition(grid, p))
+    seen = []
+    eigenbasis = schwarz.linalg.eigenbasis
+
+    def counted(T, W):
+        seen.append(T.tobytes() + W.tobytes())
+        return eigenbasis(T, W)
+
+    with mock.patch.object(schwarz.linalg, "eigenbasis", counted):
+        LocalSolves(dec, prob)
+    assert len(seen) == len(set(seen)) == calls
+
+
 def test_resonant_local_block_is_rejected_by_both_paths():
     """k^2 = lambda_1 + mu_1 of an MP1 box's Y and X intervals: the factored
     20 x 25 boxes (first, interior) and the dense-inverse 9 x 11 ones."""
@@ -525,11 +548,9 @@ def test_resonant_local_block_is_rejected_by_both_paths():
         T = assemble(grid, 1.0, "MP1").T.toarray()  # MP1's T and W = I do not depend on k
         lam, mu = scipy.linalg.eigvalsh(T[:ny, :ny])[0], scipy.linalg.eigvalsh(T[:nx, :nx])[0]
         prob = assemble(grid, float(np.sqrt(lam + mu)), "MP1")
-        _, representatives = block_classes(dec, prob)
-        resonant = [
-            i for i in representatives
-            if {hi - lo + 1 for lo, hi in box(dec, i)} == {ny, nx}
-        ]
+        first = np.unique(interval_classes(dec, prob)[0], return_index=True)[1]
+        width = dec.hi - dec.lo + 1
+        resonant = [ay * p + ax for ay in first for ax in first if {width[ay], width[ax]} == {ny, nx}]
         assert len(resonant) == 2
         with pytest.raises(SingularMatrixError, match=r"resonant mode \(i, j\) = \(0, 0\)"):
             LocalSolves(dec, prob)
