@@ -29,19 +29,17 @@ Across an operator application GMRES holds the basis, b and the small
 Hessenberg arrays, and no other vector of length N: r0 and q0 are dropped
 once V[0] holds q0, and each w once V[j + 1] holds it.  The apply's operand
 is a view of the basis under right preconditioning and A V[j] under left.
-A zeroed basis would be written in full, not just in the rows used: once
-glibc has freed a block at least as large as the basis, its mmap threshold
-rises to that size (up to 32 MB), later allocations below it come from the
-heap, and calloc there writes zeros over every page.  For table 4's
-n = 257 (65,025 unknowns, 51 rows of the basis at max_iter = 50) that is
-26.5 MB written per solve, of which 7-19 rows are used.
+A zeroed basis would be written in full, not just in the rows used, when
+the allocator serves it from the heap (measured in CHANGES.md, "GMRES
+solves hold only the memory they read").
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +53,10 @@ class GmresConfig:
     side: str = "right"
 
     def __post_init__(self):
-        if not 0 < self.rtol < math.inf:
-            raise ValueError(f"relative tolerance must be finite and positive, got {self.rtol}")
-        if self.max_iter < 1:
-            raise ValueError(f"iteration cap must be at least 1, got {self.max_iter}")
+        if not (isinstance(self.rtol, numbers.Real) and 0 < self.rtol < math.inf):
+            raise ValueError(f"rtol must be a finite positive number, got {self.rtol!r}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.side not in ("left", "right"):
             raise ValueError(f"preconditioning side must be 'left' or 'right', got {self.side!r}")
 
@@ -72,7 +70,7 @@ class SolveReport:
     residual_history: np.ndarray
     final_residual: float
     breakdown: bool = False
-    wall_seconds: float = field(default=0.0)
+    wall_seconds: float = 0.0
     x: np.ndarray | None = None
 
 
@@ -110,7 +108,7 @@ def gmres(A, M_inv, b: np.ndarray, cfg: GmresConfig = GmresConfig()) -> SolveRep
 
     mi = cfg.max_iter
     V = np.empty((mi + 1, n), dtype=dtype)  # row j + 1 is written before it is read
-    H = np.zeros((mi + 1, mi), dtype=dtype)  # form_solution reads its unwritten lower part
+    H = np.zeros((mi + 1, mi), dtype=dtype)  # the solution's solve reads the unwritten lower part
     givens_c = np.zeros(mi, dtype=dtype)
     givens_s = np.zeros(mi, dtype=dtype)
     g = np.zeros(mi + 1, dtype=dtype)
@@ -119,16 +117,6 @@ def gmres(A, M_inv, b: np.ndarray, cfg: GmresConfig = GmresConfig()) -> SolveRep
     g[0] = r0norm
     history = [1.0]
 
-    def form_solution(j):
-        Hj, gj = H[: j + 1, : j + 1], g[: j + 1]
-        try:
-            y = np.linalg.solve(Hj, gj)
-        except np.linalg.LinAlgError:  # stagnated basis on a singular operator
-            y = np.linalg.lstsq(Hj, gj, rcond=None)[0]
-        v = V[: j + 1].T @ y
-        return apply_M(v) if not left else v
-
-    report = None
     for j in range(mi):
         if j > 0:
             w = apply_M(apply_A(V[j])) if left else apply_A(apply_M(V[j]))
@@ -143,7 +131,7 @@ def gmres(A, M_inv, b: np.ndarray, cfg: GmresConfig = GmresConfig()) -> SolveRep
             w = w - h @ Vj
         hnext = np.linalg.norm(w)
         H[j + 1, j] = hnext
-        breakdown = hnext <= BREAKDOWN_THRESHOLD * wnorm
+        breakdown = bool(hnext <= BREAKDOWN_THRESHOLD * wnorm)
         if not breakdown:
             V[j + 1] = w / hnext
         del w  # not held across the next operator application
@@ -170,30 +158,26 @@ def gmres(A, M_inv, b: np.ndarray, cfg: GmresConfig = GmresConfig()) -> SolveRep
         estimate = float(np.abs(g[j + 1]) / r0norm)
         history.append(estimate)
 
-        if estimate <= cfg.rtol or breakdown:
-            x = form_solution(j)
+        crossed = estimate <= cfg.rtol or breakdown  # breakdown: the basis can grow no further
+        if crossed or j == mi - 1:
+            Hj, gj = H[: j + 1, : j + 1], g[: j + 1]
+            try:
+                y = np.linalg.solve(Hj, gj)
+            except np.linalg.LinAlgError:  # stagnated basis on a singular operator
+                y = np.linalg.lstsq(Hj, gj, rcond=None)[0]
+            x = V[: j + 1].T @ y if left else apply_M(V[: j + 1].T @ y)
             true_rel = float(np.linalg.norm(b - apply_A(x)) / bnorm)
-            converged = estimate <= cfg.rtol if left else true_rel <= cfg.rtol
+            converged = crossed and (estimate <= cfg.rtol if left else true_rel <= cfg.rtol)
             if converged or breakdown:
-                report = SolveReport(
-                    iterations=j + 1,
-                    converged=converged,
-                    residual_history=np.asarray(history),
-                    final_residual=true_rel,
-                    breakdown=breakdown and not converged,
-                    x=x,
-                )
                 break
             # estimate crossed the tolerance but the true residual has not: keep going
 
-    if report is None:
-        x = form_solution(mi - 1)
-        report = SolveReport(
-            iterations=mi,
-            converged=False,
-            residual_history=np.asarray(history),
-            final_residual=float(np.linalg.norm(b - apply_A(x)) / bnorm),
-            x=x,
-        )
-    report.wall_seconds = time.perf_counter() - t0
-    return report
+    return SolveReport(
+        iterations=j + 1,
+        converged=converged,
+        residual_history=np.asarray(history),
+        final_residual=true_rel,
+        breakdown=breakdown and not converged,
+        wall_seconds=time.perf_counter() - t0,
+        x=x,
+    )

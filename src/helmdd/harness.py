@@ -18,6 +18,7 @@ have moved.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -47,6 +48,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep of (k, n) cells, checked once when made: no invalid layout reaches a cell."""
+
     problem: str = "MP1"
     k_list: tuple = (20,)
     n_list: tuple = (81,)
@@ -58,14 +61,62 @@ class ExperimentConfig:
     gmres: GmresConfig = field(default_factory=GmresConfig)
     out: str | None = None
 
+    def __post_init__(self):
+        def check(ok, message):
+            if not ok:
+                raise ConfigError(message)
+
+        def integer(v, least):
+            return isinstance(v, numbers.Integral) and v >= least
+
+        check(self.problem in PROBLEMS, f"problem must be one of {PROBLEMS}, got {self.problem!r}")
+        sweeps = ("paired", "product")
+        check(self.sweep in sweeps, f"sweep must be 'paired' or 'product', got {self.sweep!r}")
+        check(self.k_list and self.n_list, "both k and n sweep lists are required")
+        check(
+            self.sweep == "product" or len(self.k_list) == len(self.n_list),
+            f"paired sweep needs equally long k and n lists, "
+            f"got {len(self.k_list)} and {len(self.n_list)}",
+        )
+        for k in self.k_list:
+            positive = isinstance(k, numbers.Real) and 0 < k < math.inf
+            check(positive, f"k must be a finite positive number, got {k!r}")
+        for n in self.n_list:
+            check(integer(n, 3), f"n must be an integer >= 3, got {n!r}")
+        ratio, overlap = self.coarse_ratio, self.overlap
+        check(integer(ratio, 1), f"coarse_ratio must be an integer >= 1, got {ratio!r}")
+        check(self.coarse_kinds and self.preconditioners, "coarse and preconditioners are required")
+        for ck in self.coarse_kinds:
+            check(ck in COARSE_KINDS, f"unknown coarse space {ck!r}")
+        for pk in self.preconditioners:
+            check(pk in PRECONDITIONER_KINDS, f"unknown preconditioner {pk!r}")
+        check(
+            overlap == "max" or integer(overlap, 0),
+            f"overlap must be 'max' or an integer >= 0, got {overlap!r}",
+        )
+        layers = ratio // 2 if overlap == "max" else overlap
+        for n in self.n_list:
+            check((n - 1) % ratio == 0, f"coarse ratio {ratio} does not divide n-1 = {n - 1}")
+            if self.problem == "MP1":
+                check(n % 2 == 1, f"n={n}: MP1 needs odd n (no grid node at the source)")
+                check(
+                    n - 1 != ratio,
+                    f"n={n} with coarse ratio {ratio} leaves the MP1 coarse grid no interior node",
+                )
+                # the owned nodes of the last box row and column are boundary nodes
+                check(
+                    ratio > 1 or layers > 0,
+                    f"n={n} with coarse ratio 1 and overlap {overlap} leaves the last row and column"
+                    " of MP1 subdomains empty",
+                )
+        check(
+            "HOCS" not in self.coarse_kinds or ratio & (ratio - 1) == 0,
+            f"HOCS needs a power-of-two coarse ratio, got {ratio}",
+        )
+
     def cells(self) -> list:
         """The (k, n) pairs the sweep expands to, in output order."""
         if self.sweep == "paired":
-            if len(self.k_list) != len(self.n_list):
-                raise ConfigError(
-                    f"paired sweep needs equally long k and n lists, "
-                    f"got {len(self.k_list)} and {len(self.n_list)}"
-                )
             return list(zip(self.k_list, self.n_list))
         return [(k, n) for k in self.k_list for n in self.n_list]
 
@@ -111,7 +162,8 @@ def parse_config(path) -> ExperimentConfig:
 
 def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig:
     """The ExperimentConfig of key = value strings; a key left out takes the
-    default of ExperimentConfig or GmresConfig."""
+    default of ExperimentConfig or GmresConfig.  This only parses: the
+    dataclasses check the values."""
     known = {
         "problem", "k", "n", "sweep", "coarse_ratio", "coarse", "preconditioners",
         "overlap", "rtol", "max_iter", "precond_side", "out",
@@ -128,60 +180,31 @@ def config_from_dict(values: dict, origin: str = "<config>") -> ExperimentConfig
             raise ConfigError(f"{origin}: {key} must list at least one value, got {values[key]!r}")
         return items
 
-    def positive(key, text):
-        v = _parse_scalar(str(text))
-        if isinstance(v, str) or not 0 < v < math.inf:
-            raise ConfigError(f"{origin}: {key} must be a finite positive number, got {text!r}")
-        return v
+    def number(text):  # lower-cased text, or the number it spells; "33.0" and "1e2" spell ints
+        v = _parse_scalar(str(text).lower())
+        return int(v) if isinstance(v, float) and v.is_integer() else v
 
-    def integer(key, text, minimum):
-        v = _parse_scalar(str(text))
-        if isinstance(v, str) or not float(v).is_integer():
-            raise ConfigError(f"{origin}: {key} must be an integer, got {text!r}")
-        if v < minimum:
-            raise ConfigError(f"{origin}: {key} must be at least {minimum}, got {text!r}")
-        return int(v)
-
-    problem = str(values.get("problem", ExperimentConfig.problem)).upper()
-    if problem not in PROBLEMS:
-        raise ConfigError(f"{origin}: problem must be one of {PROBLEMS}, got {problem!r}")
-    k_list = tuple(positive("k", v) for v in as_list("k", ()))
-    n_list = tuple(integer("n", v, 3) for v in as_list("n", ()))
-    if not k_list or not n_list:
-        raise ConfigError(f"{origin}: both k and n sweep lists are required")
-    sweep = str(values.get("sweep", ExperimentConfig.sweep)).lower()
-    if sweep not in ("paired", "product"):
-        raise ConfigError(f"{origin}: sweep must be 'paired' or 'product', got {sweep!r}")
-    coarse_kinds = tuple(v.upper() for v in as_list("coarse", ExperimentConfig.coarse_kinds))
-    for ck in coarse_kinds:
-        if ck not in COARSE_KINDS:
-            raise ConfigError(f"{origin}: unknown coarse space {ck!r}")
-    preconds = tuple(v.upper() for v in as_list("preconditioners", ExperimentConfig.preconditioners))
-    for pk in preconds:
-        if pk not in PRECONDITIONER_KINDS:
-            raise ConfigError(f"{origin}: unknown preconditioner {pk!r}")
-    overlap_raw = str(values.get("overlap", ExperimentConfig.overlap)).lower()
-    overlap = "max" if overlap_raw == "max" else integer("overlap", overlap_raw, 0)
-    rtol = float(positive("rtol", values.get("rtol", GmresConfig.rtol)))
-    max_iter = integer("max_iter", values.get("max_iter", GmresConfig.max_iter), 1)
     try:
-        gcfg = GmresConfig(
-            rtol=rtol, max_iter=max_iter, side=str(values.get("precond_side", GmresConfig.side)).lower()
+        return ExperimentConfig(
+            problem=str(values.get("problem", ExperimentConfig.problem)).upper(),
+            k_list=tuple(_parse_scalar(v) for v in as_list("k", ())),
+            n_list=tuple(number(v) for v in as_list("n", ())),
+            sweep=number(values.get("sweep", ExperimentConfig.sweep)),
+            coarse_ratio=number(values.get("coarse_ratio", ExperimentConfig.coarse_ratio)),
+            coarse_kinds=tuple(v.upper() for v in as_list("coarse", ExperimentConfig.coarse_kinds)),
+            preconditioners=tuple(
+                v.upper() for v in as_list("preconditioners", ExperimentConfig.preconditioners)
+            ),
+            overlap=number(values.get("overlap", ExperimentConfig.overlap)),
+            gmres=GmresConfig(
+                rtol=number(values.get("rtol", GmresConfig.rtol)),
+                max_iter=number(values.get("max_iter", GmresConfig.max_iter)),
+                side=number(values.get("precond_side", GmresConfig.side)),
+            ),
+            out=values.get("out"),
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
-    return ExperimentConfig(
-        problem=problem,
-        k_list=k_list,
-        n_list=n_list,
-        sweep=sweep,
-        coarse_ratio=integer("coarse_ratio", values.get("coarse_ratio", ExperimentConfig.coarse_ratio), 1),
-        coarse_kinds=coarse_kinds,
-        preconditioners=preconds,
-        overlap=overlap,
-        gmres=gcfg,
-        out=values.get("out"),
-    )
 
 
 def _nearest_dirichlet_mode(k, n: int):
@@ -195,34 +218,13 @@ def _nearest_dirichlet_mode(k, n: int):
 
 
 def validate_config(cfg: ExperimentConfig):
-    """Regime report and warnings per (k, n) cell; raises ConfigError on
-    structural impossibilities (indivisible subdomain/coarse layouts, HOCS
-    with a ratio that is not a power of two, and MP1 with even n, with a
-    coarse grid without interior nodes or with empty subdomains)."""
-    ratio = cfg.coarse_ratio
-    overlap = ratio // 2 if cfg.overlap == "max" else int(cfg.overlap)
+    """Regime report and warnings per (k, n) cell, as (k, n, p, report,
+    warnings) tuples; ExperimentConfig has already rejected invalid layouts."""
     results = []
     for k, n in cfg.cells():
-        if (n - 1) % ratio != 0:
-            raise ConfigError(f"coarse ratio {ratio} does not divide n-1 = {n - 1}")
-        if cfg.problem == "MP1":
-            if n % 2 == 0:
-                raise ConfigError(f"n={n}: MP1 needs odd n (no grid node at the source)")
-            if n - 1 == ratio:
-                raise ConfigError(
-                    f"n={n} with coarse ratio {ratio} leaves the MP1 coarse grid no interior node"
-                )
-            if ratio == 1 and overlap == 0:
-                # the owned nodes of the last box row and column are boundary nodes
-                raise ConfigError(
-                    f"n={n} with coarse ratio 1 and overlap {cfg.overlap} leaves the last row"
-                    " and column of MP1 subdomains empty"
-                )
-        if "HOCS" in cfg.coarse_kinds and ratio & (ratio - 1):
-            raise ConfigError(f"HOCS needs a power-of-two coarse ratio, got {ratio}")
-        p = (n - 1) // ratio
+        p = (n - 1) // cfg.coarse_ratio
         h = 1.0 / (n - 1)
-        rep = regime(k, h, ratio * h)
+        rep = regime(k, h, cfg.coarse_ratio * h)
         warnings = []
         if not rep.kappa_h_ok:
             warnings.append(f"k={k} n={n}: kappa_h = {rep.kappa_h:.4g} exceeds 0.25")
@@ -230,7 +232,7 @@ def validate_config(cfg: ExperimentConfig):
             warnings.append(f"k={k} n={n}: kappa_H = {rep.kappa_H:.4g} exceeds 1")
         # the pollution product k^3 h^2 is reported but not warned about: the
         # sweep protocol intentionally uses the lighter kappa_h condition
-        if cfg.problem == "MP1" and n >= 3:
+        if cfg.problem == "MP1":
             m, l, lam = _nearest_dirichlet_mode(k, n)
             if abs(k * k - lam) <= RESONANCE_RTOL * k * k:
                 warnings.append(
@@ -290,7 +292,7 @@ def run_experiment(cfg: ExperimentConfig, warn=None) -> list:
     """Run every sweep cell; returns rows in sweep order.
 
     Regime violations are reported through warn (default: stderr) and never
-    stop the run; structural config errors raise ConfigError up front.
+    stop the run.
     """
     if warn is None:
         warn = lambda msg: print(msg, file=sys.stderr)
@@ -330,7 +332,8 @@ def emit_csv(rows: list, path) -> Path:
     return path
 
 
-# Built-in benchmark sweeps (tables 1-4).  The solver side is pinned to
+# Built-in benchmark sweeps (tables 1-4), each written as what differs from
+# the defaults or from another table.  The solver side is pinned to
 # left-preconditioned stopping; the nominal iteration counts the acceptance
 # gate checks were recorded under it.
 _TABLE_K = (20, 40, 60, 80, 100, 120, 140, 200)
@@ -342,40 +345,27 @@ def builtin_table(which: int) -> ExperimentConfig:
             problem="MP2",
             k_list=_TABLE_K,
             n_list=tuple(4 * k + 1 for k in _TABLE_K),
-            sweep="paired",
-            coarse_ratio=4,
             coarse_kinds=("FOCS", "HOCS"),
             preconditioners=("AS2", "SAS2", "SHS2"),
-            overlap="max",
-            gmres=GmresConfig(rtol=1e-7, max_iter=100, side="left"),
+            gmres=GmresConfig(side="left"),
             out="table1.csv",
         )
     if which == 2:
         return replace(builtin_table(1), problem="MP1", out="table2.csv")
     if which == 3:
         return ExperimentConfig(
-            problem="MP1",
             k_list=(10, 20, 30, 40, 50),
             n_list=tuple(range(33, 162, 8)),
             sweep="product",
-            coarse_ratio=4,
-            coarse_kinds=("HOCS",),
-            preconditioners=("SHS2",),
-            overlap="max",
-            gmres=GmresConfig(rtol=1e-7, max_iter=50, side="left"),
+            gmres=GmresConfig(max_iter=50, side="left"),
             out="table3.csv",
         )
     if which == 4:
-        return ExperimentConfig(
-            problem="MP1",
+        return replace(
+            builtin_table(3),
             k_list=(5, 10, 15, 20, 25, 30),
             n_list=tuple(range(33, 258, 16)),
-            sweep="product",
             coarse_ratio=16,
-            coarse_kinds=("HOCS",),
-            preconditioners=("SHS2",),
-            overlap="max",
-            gmres=GmresConfig(rtol=1e-7, max_iter=50, side="left"),
             out="table4.csv",
         )
     raise ConfigError(f"no built-in table {which}; choose 1, 2, 3 or 4")

@@ -11,11 +11,9 @@ small block as that product, formed densely.
 
 The solve multiplies by Q and V, so its normwise backward error grows with
 cond(Q_y) cond(Q_x), where LU with partial pivoting's does not.  MP1 has
-W = I and cond(Q) = 1, and the local intervals of tables 1-3 (k <= 200)
-have cond(Q) <= 1.93.  Small MP2 blocks at kappa_h = kh near 1, where
-harness.validate_config already warns that kappa_h exceeds 0.25, reach
-cond(Q) of about 515 per interval and backward errors up to 1.3e-13, where
-SuperLU leaves at most 8.6e-16 (14 x 14 boxes of n = 29 at k = 28.77).
+W = I and cond(Q) = 1; MP2's cond(Q) grows as kappa_h = kh nears 1, past
+the 0.25 at which harness.validate_config warns (measured in CHANGES.md,
+the FOUND on KroneckerFactorization.solve's backward stability).
 
 factorize and solve are sparse LU (SuperLU: LU with partial pivoting on
 SuperLU's COLAMD column ordering) for scipy CSR/CSC matrices over float64
@@ -38,8 +36,7 @@ from scipy.sparse.linalg import SuperLU, splu
 PIVOT_RTOL = 1e-14
 
 # Largest accepted 2-norm cond(Q); the solve loses about 2 log10(cond(Q)) digits.
-# The 207 coarse problems of tables 1-4 (k <= 200) give cond(Q) = 1.0-30.7;
-# their local intervals give 1.0-1.93.
+# Tables 1-4 stay far below it (CHANGES.md, "Coarse solve in the Kronecker eigenbasis").
 EIGENVECTOR_COND_LIMIT = 1e8
 
 
@@ -111,12 +108,9 @@ def eigenbasis(T, W) -> Eigenbasis:
 
     Raises SingularMatrixError when cond(Q) exceeds EIGENVECTOR_COND_LIMIT.
     The guard's singular values come from scipy's LAPACK, which just solved
-    the eigenproblem: numpy's own BLAS threads, started while scipy's idle
-    workers still spin, took 4-8 ms for np.linalg.cond(Q) of MP2's 101 x 101
-    coarse Q at k = 100 in most fresh processes but up to 91 ms in others,
-    against a steady 7-9 ms for svdvals (2 cores, both OpenBLAS at 2 threads).
-    That moves the stall rather than avoiding it: np.linalg.inv(W Q) below
-    then takes 1-2 ms in most such processes and 65-105 ms in some.  Its
+    the eigenproblem, since numpy's own BLAS threads can stall while scipy's
+    idle workers still spin.  That moves the stall to np.linalg.inv(W Q)
+    rather than avoiding it (CHANGES.md, the FOUND on that inverse); its
     scipy counterpart is not bit-identical on real pencils (the two packages
     ship different OpenBLAS builds), so it stays in numpy.
     """
@@ -148,10 +142,10 @@ class KroneckerFactorization:
         products with V_y and Q_y are taken member by member, those with
         V_x^T and Q_x^T as one matrix product of all members' n_y rows.
         That changes no operation, but OpenBLAS may round a row by another
-        kernel by its place in the product: with OpenBLAS 0.3.31 on AVX-512,
-        real stacks n_x = 17-20, 25-28, 33-36 or 41 wide come out a few
-        rounding errors away from per-member products, while the widths of
-        tables 1-4 (5 to 7, 23 and 31) and complex stacks give the same bits.
+        kernel by its place in the product, so some real stack widths come
+        out a few rounding errors away from per-member products (CHANGES.md,
+        the MENDED on the one-GEMM x side lists them); the widths of tables
+        1-4 give the same bits.
 
         X is written to out, which is returned; work receives the products in
         between.  Both are C-contiguous arrays of B's shape and of X's dtype,

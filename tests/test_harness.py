@@ -146,9 +146,8 @@ class TestSweepCells:
         assert cfg.cells() == [(1, 9), (1, 17), (2, 9), (2, 17)]
 
     def test_paired_length_mismatch(self):
-        cfg = ExperimentConfig(k_list=(1, 2, 3), n_list=(9, 17), sweep="paired")
         with pytest.raises(ConfigError, match="equally long"):
-            cfg.cells()
+            ExperimentConfig(k_list=(1, 2, 3), n_list=(9, 17), sweep="paired")
 
 
 class TestValidateConfig:
@@ -166,22 +165,20 @@ class TestValidateConfig:
         assert rep.kappa_h == pytest.approx(0.25)
 
     def test_indivisible_layout_is_hard_error(self):
-        cfg = ExperimentConfig(problem="MP1", k_list=(5,), n_list=(34,), coarse_ratio=4)
         with pytest.raises(ConfigError, match="divide"):
-            validate_config(cfg)
+            ExperimentConfig(problem="MP1", k_list=(5,), n_list=(34,), coarse_ratio=4)
 
     def test_coarse_grid_without_interior_node_is_hard_error(self):
         cfg = ExperimentConfig(
-            problem="MP1", k_list=(1,), n_list=(3,), coarse_ratio=2, coarse_kinds=("FOCS",)
+            problem="MP2", k_list=(1,), n_list=(3,), coarse_ratio=2, coarse_kinds=("FOCS",)
         )
         with pytest.raises(ConfigError, match="n=3 with coarse ratio 2.*no interior node"):
-            validate_config(cfg)
-        assert validate_config(replace(cfg, problem="MP2"))
+            replace(cfg, problem="MP1")
+        assert validate_config(cfg)
 
     def test_even_n_mp1_flagged(self):
-        cfg = ExperimentConfig(problem="MP1", k_list=(1,), n_list=(10,), coarse_ratio=3)
         with pytest.raises(ConfigError, match="n=10: MP1 needs odd n"):
-            validate_config(cfg)
+            ExperimentConfig(problem="MP1", k_list=(1,), n_list=(10,), coarse_ratio=3)
 
     def test_even_n_mp2_flagged(self):
         cfg = ExperimentConfig(
@@ -204,22 +201,24 @@ class TestValidateConfig:
         assert not any("eigenvalue" in w for w in quiet)
 
     def test_hocs_ratio_not_power_of_two_flagged(self):
-        cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
+        cfg = ExperimentConfig(
+            problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6, coarse_kinds=("FOCS",)
+        )
         with pytest.raises(ConfigError, match="power-of-two coarse ratio, got 6"):
-            validate_config(cfg)
-        ((*_, focs_warnings),) = validate_config(replace(cfg, coarse_kinds=("FOCS",)))
+            replace(cfg, coarse_kinds=("HOCS",))
+        ((*_, focs_warnings),) = validate_config(cfg)
         assert focs_warnings == []
 
     @pytest.mark.parametrize("overlap", ["max", 0])
     def test_empty_mp1_subdomains_are_hard_error(self, overlap):
         cfg = ExperimentConfig(
             problem="MP1", k_list=(1,), n_list=(9,), coarse_ratio=1, coarse_kinds=("FOCS",),
-            overlap=overlap,
+            overlap=1,
         )
         with pytest.raises(ConfigError, match=f"n=9 with coarse ratio 1 and overlap {overlap}"):
-            validate_config(cfg)
-        assert validate_config(replace(cfg, overlap=1))
-        assert validate_config(replace(cfg, problem="MP2"))
+            replace(cfg, overlap=overlap)
+        assert validate_config(cfg)
+        assert validate_config(replace(cfg, problem="MP2", overlap=overlap))
 
     def test_pollution_metric_reported_but_not_warned(self):
         # the protocol's lighter fine-resolution condition holds here even
@@ -280,8 +279,8 @@ def test_no_finished_solve_is_live_at_the_next(monkeypatch):
 
 
 def test_run_experiment_rejects_even_n_mp1():
-    cfg = ExperimentConfig(problem="MP1", k_list=(5,), n_list=(10,), coarse_ratio=3)
     with pytest.raises(ConfigError, match="even|odd|source"):
+        cfg = ExperimentConfig(problem="MP1", k_list=(5,), n_list=(10,), coarse_ratio=3)
         run_experiment(cfg, warn=lambda m: None)
 
 
@@ -292,8 +291,8 @@ def test_run_experiment_rejects_hocs_ratio_before_any_cell(monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(harness_mod, "_run_cell", no_cell)
-    cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
     with pytest.raises(ConfigError, match="power-of-two"):
+        cfg = ExperimentConfig(problem="MP1", k_list=(2,), n_list=(25,), coarse_ratio=6)
         run_experiment(cfg, warn=lambda m: None)
 
 
@@ -304,10 +303,10 @@ def test_run_experiment_rejects_coarse_grid_without_interior_node_before_any_cel
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(harness_mod, "_run_cell", no_cell)
-    cfg = ExperimentConfig(
-        problem="MP1", k_list=(1, 1), n_list=(9, 3), coarse_ratio=2, coarse_kinds=("FOCS",)
-    )
     with pytest.raises(ConfigError, match="no interior node"):
+        cfg = ExperimentConfig(
+            problem="MP1", k_list=(1, 1), n_list=(9, 3), coarse_ratio=2, coarse_kinds=("FOCS",)
+        )
         run_experiment(cfg, warn=lambda m: None)
 
 
@@ -318,11 +317,40 @@ def test_run_experiment_rejects_empty_subdomains_before_any_cell(monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(harness_mod, "_run_cell", no_cell)
-    cfg = ExperimentConfig(
-        problem="MP1", k_list=(1,), n_list=(9,), coarse_ratio=1, coarse_kinds=("FOCS",)
-    )
     with pytest.raises(ConfigError, match="subdomains empty"):
+        cfg = ExperimentConfig(
+            problem="MP1", k_list=(1,), n_list=(9,), coarse_ratio=1, coarse_kinds=("FOCS",)
+        )
         run_experiment(cfg, warn=lambda m: None)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"coarse_kinds": ("XYZ",)},
+        {"coarse_kinds": ()},
+        {"preconditioners": ("RAS",)},
+        {"preconditioners": ()},
+        {"problem": "MP3"},
+        {"sweep": "zip"},
+        {"coarse_ratio": 0},
+        {"overlap": "maximum"},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_python_built_config_rejected_at_construction(bad, monkeypatch):
+    """A bad field raises ConfigError when the config is made, directly or by
+    replace, so run_experiment never reaches a cell."""
+
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "_run_cell", no_cell)
+    good = ExperimentConfig(problem="MP1", k_list=(2, 3), n_list=(9, 17), coarse_ratio=2)
+    with pytest.raises(ConfigError):
+        replace(good, **bad)
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(**{**vars(good), **bad}), warn=lambda m: None)
 
 
 def synthetic_rows(count):
@@ -513,6 +541,13 @@ class TestCli:
         assert rc == 0
         assert seen["cfg"].k_list == (5, 10)
         assert seen["cfg"].n_list == builtin_table(4).n_list  # product: every n kept
+
+    def test_tables_max_k_below_every_cell_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "t1.csv"
+        rc = cli.main(["tables", "1", "--max-k", "10", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "k and n sweep lists are required" in capsys.readouterr().err
 
 
 def test_csv_identical_apart_from_timings(tiny_config, tmp_path):
