@@ -75,6 +75,11 @@ def main(argv=None) -> int:
             return 0
         cfg = harness.builtin_table(args.which)
         if args.max_k is not None:
+            if not args.max_k >= min(cfg.k_list):
+                raise harness.ConfigError(
+                    f"--max-k {args.max_k:g} drops every cell of table {args.which}, "
+                    f"whose smallest k is {min(cfg.k_list):g}"
+                )
             cfg = _drop_k_above(cfg, args.max_k)
         return _run(cfg, args.out or Path(cfg.out))
     except (harness.ConfigError, OSError, ValueError) as exc:

@@ -133,6 +133,20 @@ def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matr
     return A[idx][:, idx]
 
 
+def _restrictions(F, lo, hi) -> list:
+    """The dense F[a:b+1, a:b+1] of each interval [a, b], every entry read
+    from the sparse F at once (as its toarray() would give it, but with no
+    dense copy of F)."""
+    size = hi - lo + 1
+    count = size * size
+    ends = np.cumsum(count)
+    flat = np.arange(ends[-1]) - np.repeat(ends - count, count)  # place in its interval's block
+    i, j = np.divmod(flat, np.repeat(size, count))
+    first = np.repeat(lo, count)
+    values = np.asarray(sp.csr_matrix(F)[first + i, first + j]).ravel()
+    return [v.reshape(s, s) for v, s in zip(np.split(values, ends[:-1]), size)]
+
+
 def interval_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     """Group the p 1D intervals by the restrictions of problem's 1D factors
     T and W to them (discretization.assemble), compared bit for bit.
@@ -148,10 +162,8 @@ def interval_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     lo, hi = decomp.lo, decomp.hi
     if (hi < lo).any():
         raise ValueError("an empty subdomain has no block")
-    T, W = problem.T.toarray(), problem.W.toarray()
     content: dict = {}  # bytes of T and W on an interval -> (its class, T and W on it)
     classes = []
-    for a, b in zip(lo, hi):
-        t, w = T[a:b + 1, a:b + 1], W[a:b + 1, a:b + 1]
+    for t, w in zip(_restrictions(problem.T, lo, hi), _restrictions(problem.W, lo, hi)):
         classes.append(content.setdefault(t.tobytes() + w.tobytes(), (len(content), (t, w)))[0])
     return np.array(classes), [block for _, block in content.values()]

@@ -254,9 +254,10 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     prob = assemble(grid, k, cfg.problem)
     part = partition(grid, p)
     decomp = extend_max(part) if cfg.overlap == "max" else extend(part, int(cfg.overlap))
-    # coarse spaces first: after galerkin's LAPACK calls scipy's OpenBLAS workers
-    # spin for a while and slow numpy's BLAS threads; the local setup, not
-    # GMRES, then runs in that window
+    # coarse spaces first: after galerkin's scipy LAPACK calls on an MP1 (real)
+    # pencil scipy's OpenBLAS workers spin for a while and slow numpy's BLAS
+    # threads; the local setup, not GMRES, then runs in that window.  An MP2
+    # cell calls no scipy LAPACK (linalg.eigenbasis), so its order is free.
     builders = {"FOCS": build_focs, "HOCS": build_hocs}
     spaces = {
         ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds

@@ -9,6 +9,17 @@ The coarse problem is the case of two equal pencils, a local block the case
 of the pencils of its box's two 1D intervals; schwarz.LocalSolves keeps a
 small block as that product, formed densely.
 
+The eigenpairs of a real pencil (MP1: W = I) come from scipy's eigh; those
+of a complex one (MP2: T complex symmetric, W real positive definite) from
+numpy's LAPACK, as the standard eigenproblem of C = L^{-1} T L^{-T} with
+W = L L^T, Q = L^{-T} Z for C's eigenvectors Z.  numpy's BLAS runs every
+other product of a cell, GMRES included, and each package ships its own
+OpenBLAS thread pool: scipy's workers keep spinning for about 100 ms after
+a threaded call, and numpy BLAS work started in that window ran about 2x
+slower (CHANGES.md, the MENDED on the two pools).  An MP2 cell therefore
+wakes no scipy pool.  MP1 keeps scipy's eigh: sending its pencils down the
+numpy path too moved 12 stagnating counts of tables 2-4.
+
 The solve multiplies by Q and V, so its normwise backward error grows with
 cond(Q_y) cond(Q_x), where LU with partial pivoting's does not.  MP1 has
 W = I and cond(Q) = 1; MP2's cond(Q) grows as kappa_h = kh nears 1, past
@@ -106,16 +117,23 @@ class Eigenbasis:
 def eigenbasis(T, W) -> Eigenbasis:
     """Eigenbasis of dense symmetric T and real positive definite W.
 
-    Raises SingularMatrixError when cond(Q) exceeds EIGENVECTOR_COND_LIMIT.
-    The guard's singular values come from scipy's LAPACK, which just solved
-    the eigenproblem, since numpy's own BLAS threads can stall while scipy's
-    idle workers still spin.  That moves the stall to np.linalg.inv(W Q)
-    rather than avoiding it (CHANGES.md, the FOUND on that inverse); its
-    scipy counterpart is not bit-identical on real pencils (the two packages
-    ship different OpenBLAS builds), so it stays in numpy.
+    A real pencil is solved by scipy.linalg.eigh.  A complex T is solved by
+    numpy alone (see the module docstring): with the Cholesky factor L of W,
+    np.linalg.eig of L^{-1} T L^{-T} gives Lambda and Z, and Q = L^{-T} Z
+    has each column scaled to unit 2-norm, as scipy.linalg.eig(T, W) returns
+    them, which keeps cond(Q) at that routine's values.  cond(Q) is taken
+    from the singular values of the same package's LAPACK; a value above
+    EIGENVECTOR_COND_LIMIT raises SingularMatrixError.
     """
-    lam, q = (scipy.linalg.eig if np.iscomplexobj(T) else scipy.linalg.eigh)(T, W)
-    sv = scipy.linalg.svdvals(q)
+    if np.iscomplexobj(T):
+        l_inv = np.linalg.inv(np.linalg.cholesky(W))
+        lam, z = np.linalg.eig(l_inv @ T @ l_inv.T)
+        q = l_inv.T @ z
+        q /= np.linalg.norm(q, axis=0)
+        sv = np.linalg.svd(q, compute_uv=False)
+    else:
+        lam, q = scipy.linalg.eigh(T, W)
+        sv = scipy.linalg.svdvals(q)
     with np.errstate(divide="ignore", invalid="ignore"):  # a singular Q gives inf or nan
         cond = sv[0] / sv[-1]
     if not cond <= EIGENVECTOR_COND_LIMIT:

@@ -1,5 +1,6 @@
 """Reference operators the tests hold the package against, formed explicitly."""
 
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -23,6 +24,14 @@ def subdomains(dec):
 def weights(dec):
     """The diagonal of every D_i, in subdomain order."""
     return [1.0 / dec.multiplicity[idx] for idx in subdomains(dec)]
+
+
+def generalized_eigenbasis(T, W):
+    """(Lambda, Q, cond(Q)) of a complex pencil (T, W) from scipy's generalized
+    eig (QZ; unit 2-norm columns of Q) and scipy's svdvals."""
+    lam, q = scipy.linalg.eig(T, W)
+    sv = scipy.linalg.svdvals(q)
+    return lam, q, sv[0] / sv[-1]
 
 
 def kronecker_solve(F, B):

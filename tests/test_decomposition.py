@@ -288,7 +288,8 @@ def test_block_classes_group_identical_blocks(problem, p, cells, k, data):
     T, W = prob.T.toarray(), prob.W.toarray()
     for a, (lo, hi) in enumerate(zip(dec.lo, dec.hi)):
         t, w = blocks[classes[a]]
-        assert np.array_equal(t, T[lo:hi + 1, lo:hi + 1]) and np.array_equal(w, W[lo:hi + 1, lo:hi + 1])
+        for block, dense in ((t, T[lo:hi + 1, lo:hi + 1]), (w, W[lo:hi + 1, lo:hi + 1])):
+            assert block.dtype == dense.dtype and block.tobytes() == dense.tobytes()
     labels = block_labels(dec, prob)
     representatives = np.unique(labels, return_index=True)[1]
     for i in range(dec.num_subdomains):

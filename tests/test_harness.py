@@ -547,7 +547,9 @@ class TestCli:
         rc = cli.main(["tables", "1", "--max-k", "10", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
-        assert "k and n sweep lists are required" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --max-k 10 drops every cell of table 1, whose smallest k is 20\n"
+        )
 
 
 def test_csv_identical_apart_from_timings(tiny_config, tmp_path):
