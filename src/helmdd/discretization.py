@@ -78,13 +78,6 @@ class Grid:
         lo = self.unknown_lo
         return (np.asarray(iy) - lo) * self.unknowns_per_dim + (np.asarray(ix) - lo)
 
-    def unknown_coords(self):
-        """(x, y) coordinates of every unknown, in unknown-index order."""
-        lo = self.unknown_lo
-        t = (np.arange(self.unknowns_per_dim) + lo) * self.h
-        x, y = np.meshgrid(t, t, indexing="xy")
-        return x.ravel(), y.ravel()
-
 
 @dataclass(frozen=True)
 class HelmholtzProblem:

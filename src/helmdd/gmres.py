@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +69,6 @@ class SolveReport:
     residual_history: np.ndarray
     final_residual: float
     breakdown: bool = False
-    wall_seconds: float = 0.0
     x: np.ndarray | None = None
 
 
@@ -88,7 +86,6 @@ def gmres(A, M_inv, b: np.ndarray, cfg: GmresConfig = GmresConfig()) -> SolveRep
     A and M_inv may be matrices or callables.  Returns the report; the
     solution vector is available as report.x.
     """
-    t0 = time.perf_counter()
     apply_A = _as_operator(A)
     apply_M = _as_operator(M_inv)
     b = np.asarray(b)
@@ -178,6 +175,5 @@ def gmres(A, M_inv, b: np.ndarray, cfg: GmresConfig = GmresConfig()) -> SolveRep
         residual_history=np.asarray(history),
         final_residual=true_rel,
         breakdown=breakdown and not converged,
-        wall_seconds=time.perf_counter() - t0,
         x=x,
     )

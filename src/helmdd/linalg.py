@@ -9,16 +9,17 @@ The coarse problem is the case of two equal pencils, a local block the case
 of the pencils of its box's two 1D intervals; schwarz.LocalSolves keeps a
 small block as that product, formed densely.
 
-The eigenpairs of a real pencil (MP1: W = I) come from scipy's eigh; those
-of a complex one (MP2: T complex symmetric, W real positive definite) from
-numpy's LAPACK, as the standard eigenproblem of C = L^{-1} T L^{-T} with
-W = L L^T, Q = L^{-T} Z for C's eigenvectors Z.  numpy's BLAS runs every
+The eigenpairs of a real pencil (MP1: W = I) come from scipy's eigh, a
+cell's one scipy call; those of a complex one (MP2: T complex symmetric, W
+real positive definite) from numpy's LAPACK, as the standard eigenproblem of
+C = L^{-1} T L^{-T} with W = L L^T, Q = L^{-T} Z for C's eigenvectors Z;
+cond(Q) of both from numpy's singular values.  numpy's BLAS runs every
 other product of a cell, GMRES included, and each package ships its own
 OpenBLAS thread pool: scipy's workers keep spinning for about 100 ms after
 a threaded call, and numpy BLAS work started in that window ran about 2x
 slower (CHANGES.md, the MENDED on the two pools).  An MP2 cell therefore
-wakes no scipy pool.  MP1 keeps scipy's eigh: sending its pencils down the
-numpy path too moved 12 stagnating counts of tables 2-4.
+wakes no scipy pool.  MP1 keeps scipy's eigh: numpy's eig of its pencils
+moved 12 stagnating counts of tables 2-4, numpy's eigh 8 (ROADMAP).
 
 The solve multiplies by Q and V, so its normwise backward error grows with
 cond(Q_y) cond(Q_x), where LU with partial pivoting's does not.  MP1 has
@@ -29,8 +30,9 @@ the FOUND on KroneckerFactorization.solve's backward stability).
 factorize and solve are sparse LU (SuperLU: LU with partial pivoting on
 SuperLU's COLAMD column ordering) for scipy CSR/CSC matrices over float64
 or complex128, which handles the indefinite symmetric systems of the
-discretization, where a Cholesky factorization would fail.  No solver path
-calls them: they are the tests' reference for the eigenbasis solves.
+discretization, where a Cholesky factorization would fail.  They are the
+tests' reference for the eigenbasis solves; no solver path calls them, so
+factorize imports SuperLU on use and helmdd loads no scipy.sparse.linalg.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, splu
 
 # Pivots below this fraction of the largest matrix entry, and eigenvalue sums
 # D_ij below it times max |D|, are treated as singular (a resonant problem).
@@ -59,7 +60,7 @@ class SingularMatrixError(ValueError):
 class SparseFactorization:
     """LU factors of a square sparse matrix, ready for repeated solves."""
 
-    lu: SuperLU
+    lu: scipy.sparse.linalg.SuperLU
     n: int
     dtype: np.dtype
 
@@ -76,6 +77,8 @@ def factorize(A) -> SparseFactorization:
     silently perturbed, since a perturbed solve would corrupt iteration
     counts.
     """
+    from scipy.sparse.linalg import splu
+
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
     A = sp.csc_matrix(A)
@@ -122,7 +125,7 @@ def eigenbasis(T, W) -> Eigenbasis:
     np.linalg.eig of L^{-1} T L^{-T} gives Lambda and Z, and Q = L^{-T} Z
     has each column scaled to unit 2-norm, as scipy.linalg.eig(T, W) returns
     them, which keeps cond(Q) at that routine's values.  cond(Q) is taken
-    from the singular values of the same package's LAPACK; a value above
+    from numpy's singular values of Q for both kinds; a value above
     EIGENVECTOR_COND_LIMIT raises SingularMatrixError.
     """
     if np.iscomplexobj(T):
@@ -130,10 +133,9 @@ def eigenbasis(T, W) -> Eigenbasis:
         lam, z = np.linalg.eig(l_inv @ T @ l_inv.T)
         q = l_inv.T @ z
         q /= np.linalg.norm(q, axis=0)
-        sv = np.linalg.svd(q, compute_uv=False)
     else:
         lam, q = scipy.linalg.eigh(T, W)
-        sv = scipy.linalg.svdvals(q)
+    sv = np.linalg.svd(q, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):  # a singular Q gives inf or nan
         cond = sv[0] / sv[-1]
     if not cond <= EIGENVECTOR_COND_LIMIT:

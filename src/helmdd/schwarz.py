@@ -174,8 +174,8 @@ class LocalSolves:
 
 
 class SchwarzPreconditioner:
-    """Fixed after construction, but apply() works in its LocalSolves' buffers:
-    one LocalSolves must not be applied from two threads at once."""
+    """Fixed after construction, but a call M(x) works in its LocalSolves'
+    buffers: one LocalSolves must not be applied from two threads at once."""
 
     def __init__(
         self,
@@ -202,7 +202,7 @@ class SchwarzPreconditioner:
             raise ValueError("local solves were built for another problem or decomposition")
         self.local_solves = local_solves
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.result_type(np.asarray(x).dtype, self.A.dtype))
         if x.shape[0] != self.A.shape[0]:
             raise ValueError(f"operator has dimension {self.A.shape[0]}, vector {x.shape[0]}")
@@ -214,5 +214,3 @@ class SchwarzPreconditioner:
             r = x
         self.local_solves.add_to(r, y, weighted=self.kind != "AS2")
         return y
-
-    __call__ = apply

@@ -1,5 +1,6 @@
 """Reference operators the tests hold the package against, formed explicitly."""
 
+import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -7,6 +8,23 @@ from scipy.sparse.linalg import splu
 from helmdd import linalg
 from helmdd.coarse import coarse_correct
 from helmdd.decomposition import box_indices
+
+
+def unknown_coords(grid):
+    """(x, y) coordinates of every unknown of a Grid, in unknown-index order."""
+    t = (np.arange(grid.unknowns_per_dim) + grid.unknown_lo) * grid.h
+    x, y = np.meshgrid(t, t, indexing="xy")
+    return x.ravel(), y.ravel()
+
+
+def direct_solve(prob):
+    """(x, F) for the solution x of prob.A x = prob.f by fast diagonalization of
+    the whole fine problem: A is the Kronecker sum of one pencil (T, W) with
+    itself, so F = factorize_kronecker of its eigenbasis in both dimensions
+    solves f once as an m x m grid array."""
+    basis = linalg.eigenbasis(prob.T.toarray(), prob.W.toarray())
+    F = linalg.factorize_kronecker(basis, basis, prob.k)
+    return F.solve(prob.f.reshape(F.d.shape)).ravel(), F
 
 
 def r0(cs):

@@ -19,7 +19,7 @@ from helmdd.coarse import (
 )
 from helmdd.discretization import Grid, assemble
 from helmdd.linalg import SingularMatrixError, factorize, solve
-from reference import coarse_correct_lu, r0
+from reference import coarse_correct_lu, r0, unknown_coords
 
 
 def one_level_bezier_matrix(nf, dirichlet):
@@ -65,7 +65,7 @@ class TestFocs:
     def test_linear_reproduction(self):
         g = Grid(9, "sommerfeld")
         cs = build_focs(g, 4)
-        x, y = g.unknown_coords()
+        x, y = unknown_coords(g)
         field = x + y
         coarse_nodes = np.arange(0, g.n, 4) * g.h
         cx, cy = np.meshgrid(coarse_nodes, coarse_nodes, indexing="xy")

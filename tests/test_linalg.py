@@ -256,3 +256,28 @@ def test_mp2_run_calls_no_scipy_eigensolver(monkeypatch):
     )
     (row,) = run_experiment(cfg)
     assert all(isinstance(count, int) for count in row.iterations.values())
+
+
+def test_mp1_run_calls_scipy_eigh_only(monkeypatch):
+    """An MP1 sweep reaches scipy only through eigh: its eig and svdvals are
+    never called, since cond(Q) comes from numpy for both kinds of pencil."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an MP1 cell called scipy LAPACK other than eigh")
+
+    calls = []
+
+    def counted_eigh(*args, eigh=scipy.linalg.eigh, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    for name in ("eig", "svdvals"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    cfg = ExperimentConfig(
+        problem="MP1", k_list=(10,), n_list=(41,), coarse_kinds=("FOCS", "HOCS"),
+        preconditioners=("AS2", "SAS2", "SHS2"), gmres=GmresConfig(side="left"),
+    )
+    (row,) = run_experiment(cfg)
+    assert all(isinstance(count, int) for count in row.iterations.values())
+    assert calls  # the coarse and interval pencils

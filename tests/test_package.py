@@ -1,7 +1,10 @@
 import ast
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -168,6 +171,19 @@ def test_sparse_lu_stays_in_linalg():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
     assert not names & {"SparseFactorization", "factorize"}
+
+
+def test_import_loads_no_sparse_lu():
+    """Importing the package and its solver modules leaves scipy.sparse.linalg
+    unloaded: linalg.factorize imports SuperLU on its first call."""
+    code = (
+        "import sys, helmdd, helmdd.harness, helmdd.linalg, helmdd.schwarz; "
+        "print('scipy.sparse.linalg' in sys.modules)"
+    )
+    src = str(Path(helmdd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_no_solver_path_calls_sparse_lu():

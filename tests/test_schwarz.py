@@ -87,7 +87,7 @@ def test_apply_matches_dense_oracle(kind, n, k, problem, p, ck, ratio, reference
     M = SchwarzPreconditioner(kind, prob, dec, cs)
     dense = dense_preconditioner(kind, prob.A, dec, cs)
     with reference_coarse_solve(prob.A) if reference_coarse else contextlib.nullcontext():
-        got = np.column_stack([M.apply(e) for e in np.eye(prob.A.shape[0], dtype=prob.A.dtype)])
+        got = np.column_stack([M(e) for e in np.eye(prob.A.shape[0], dtype=prob.A.dtype)])
     assert np.abs(got - dense).max() < 1e-11 * np.abs(dense).max()
 
 
@@ -101,7 +101,7 @@ def test_reference_coarse_apply_matches_dense_oracle(kind, n, k, problem, p, ck,
 def test_zero_maps_to_zero():
     prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
     M = SchwarzPreconditioner("AS2", prob, dec, cs)
-    assert np.all(M.apply(np.zeros(49)) == 0.0)
+    assert np.all(M(np.zeros(49)) == 0.0)
 
 
 def test_linearity():
@@ -111,8 +111,8 @@ def test_linearity():
     x = rng.standard_normal(81) + 1j * rng.standard_normal(81)
     y = rng.standard_normal(81) + 1j * rng.standard_normal(81)
     a, b = 0.7 - 0.2j, -1.3 + 0.5j
-    lhs = M.apply(a * x + b * y)
-    rhs = a * M.apply(x) + b * M.apply(y)
+    lhs = M(a * x + b * y)
+    rhs = a * M(x) + b * M(y)
     assert np.abs(lhs - rhs).max() < 1e-13 * np.abs(rhs).max()
 
 
@@ -131,7 +131,7 @@ def test_degenerate_single_domain_full_coarse_is_twice_inverse():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(49)
     expected = 2.0 * solve(factorize(prob.A), x)
-    assert np.abs(M.apply(x) - expected).max() < 1e-10 * np.abs(expected).max()
+    assert np.abs(M(x) - expected).max() < 1e-10 * np.abs(expected).max()
 
 
 def test_no_overlap_makes_scaled_equal_plain():
@@ -141,8 +141,8 @@ def test_no_overlap_makes_scaled_equal_plain():
     cs = galerkin(build_focs(grid, 4), prob)
     rng = np.random.default_rng(2)
     x = rng.standard_normal(49)
-    plain = SchwarzPreconditioner("AS2", prob, dec, cs).apply(x)
-    scaled = SchwarzPreconditioner("SAS2", prob, dec, cs).apply(x)
+    plain = SchwarzPreconditioner("AS2", prob, dec, cs)(x)
+    scaled = SchwarzPreconditioner("SAS2", prob, dec, cs)(x)
     assert np.abs(plain - scaled).max() < 1e-15 * np.abs(plain).max()
 
 
@@ -155,7 +155,7 @@ def test_full_coarse_space_makes_hybrid_exact():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(49)
     exact = solve(factorize(prob.A), x)
-    assert np.abs(M.apply(x) - exact).max() < 1e-9 * np.abs(exact).max()
+    assert np.abs(M(x) - exact).max() < 1e-9 * np.abs(exact).max()
     report = gmres(prob.A, M, prob.f, GmresConfig())
     assert report.converged and report.iterations == 1
 
@@ -178,8 +178,8 @@ def test_rescaling_coarse_operator_changes_nothing(kind):
     scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0_factorization=None), prob)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(prob.A.shape[0]) + 1j * rng.standard_normal(prob.A.shape[0])
-    a = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
-    b = SchwarzPreconditioner(kind, prob, dec, scaled).apply(x)
+    a = SchwarzPreconditioner(kind, prob, dec, cs)(x)
+    b = SchwarzPreconditioner(kind, prob, dec, scaled)(x)
     assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
 
 
@@ -191,7 +191,7 @@ def test_subdomain_order_independence(kind):
     rng = np.random.default_rng(6)
     perm = rng.permutation(dec.num_subdomains)
     x = rng.standard_normal(prob.A.shape[0])
-    a = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
+    a = SchwarzPreconditioner(kind, prob, dec, cs)(x)
     b = reference_preconditioner(kind, prob.A, dec, cs, order=perm)(x)
     assert np.abs(a - b).max() < 1e-13 * np.abs(a).max()
 
@@ -219,7 +219,7 @@ def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, c
     x = rng.standard_normal(prob.A.shape[0]).astype(prob.A.dtype)
     if np.iscomplexobj(x):
         x += 1j * rng.standard_normal(len(x))
-    got = SchwarzPreconditioner(kind, prob, dec, cs).apply(x)
+    got = SchwarzPreconditioner(kind, prob, dec, cs)(x)
     want = reference_preconditioner(kind, prob.A, dec, cs)(x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -238,7 +238,7 @@ def test_factored_blocks_match_loop_over_subdomains(problem, kind):
         if np.iscomplexobj(x):
             x += 1j * rng.standard_normal(len(x))
         want = reference(x)
-        assert np.abs(M.apply(x) - want).max() <= 1e-11 * np.abs(want).max()
+        assert np.abs(M(x) - want).max() <= 1e-11 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("table", [1, 2])
@@ -582,7 +582,7 @@ def test_dimension_mismatch_rejected():
     prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
     M = SchwarzPreconditioner("AS2", prob, dec, cs)
     with pytest.raises(ValueError):
-        M.apply(np.ones(50))
+        M(np.ones(50))
 
 
 def test_unfactorized_coarse_space_rejected():
@@ -620,6 +620,6 @@ def test_reference_coarse_apply_accepts_complex_vector_on_real_matrix():
     M = SchwarzPreconditioner("SHS2", prob, dec, cs)
     x = (1 + 1j) * np.ones(prob.A.shape[0])
     with reference_coarse_solve(prob.A):
-        got = M.apply(x)
-    want = M.apply(x)
+        got = M(x)
+    want = M(x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
