@@ -256,7 +256,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     decomp = extend_max(part) if cfg.overlap == "max" else extend(part, int(cfg.overlap))
     # the order is free: on MP1 both galerkin and LocalSolves call scipy's eigh
     # (linalg.eigenbasis), LocalSolves just before the first solve, and a pause
-    # there did not lower solve_s (CHANGES.md, the solve-path cuts)
+    # there lowered no solve_s beyond the noise (CHANGES.md, the solve-path cuts)
     builders = {"FOCS": build_focs, "HOCS": build_hocs}
     spaces = {
         ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds
