@@ -31,7 +31,7 @@ from .harness import (
     validate_config,
 )
 from .linalg import SingularMatrixError
-from .schwarz import SchwarzPreconditioner
+from .schwarz import LocalSolves, SchwarzPreconditioner
 
 __all__ = [
     "CoarseSpace",
@@ -41,6 +41,7 @@ __all__ = [
     "GmresConfig",
     "Grid",
     "HelmholtzProblem",
+    "LocalSolves",
     "Partition",
     "RegimeReport",
     "SchwarzPreconditioner",

@@ -24,10 +24,10 @@ A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble) and R_0 = P(x)P
 make A_0 = R_0 A R_0^T the same Kronecker sum of T_0 = P T P^T and
 W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker
 with the one eigenbasis of (T_0, W_0) in both dimensions).  The space keeps
-(T_0, W_0, k), and the sparse A_0 is formed from them on access, for
-inspection; no solve reads it.  coarse_correct applies R_0 and R_0^T as
-P X P^T and P^T Y P on the grid vector reshaped to a square, so R_0 is
-never formed.
+the problem it was factored for, and the sparse A_0 is formed from it on
+access, for inspection; no solve reads it.  coarse_correct applies R_0 and
+R_0^T as P X P^T and P^T Y P on the grid vector reshaped to a square, so
+R_0 is never formed.
 
 The preconditioners built on top are invariant under any invertible
 rescaling of R_0 or P (it cancels in R_0^T (R_0 A R_0^T)^{-1} R_0), so the
@@ -53,18 +53,17 @@ _BEZIER_TAPS = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 8.0
 @dataclass(frozen=True)
 class CoarseSpace:
     """The fine grid, the 1D restriction P (R_0 = P(x)P) and, after galerkin,
-    the eigenbasis factorization of A_0 and the 1D factors (T_0, W_0, k) it
-    was computed from."""
+    the eigenbasis factorization of A_0 and the problem it was factored for."""
 
     grid: Grid
     p: sp.csr_matrix
     a0_factorization: linalg.KroneckerFactorization | None = None
-    a0_factors: tuple | None = None
+    problem: HelmholtzProblem | None = None
 
     @property
     def a0(self) -> sp.csr_matrix | None:
         """A_0, the Kronecker sum of (T_0, W_0, k), formed anew on every access."""
-        return None if self.a0_factors is None else kronecker_sum(*self.a0_factors)
+        return None if self.problem is None else kronecker_sum(*_coarse_factors(self, self.problem), self.problem.k)
 
 
 def _check_ratio(grid: Grid, ratio: int, powers_of_two: bool):
@@ -107,17 +106,21 @@ def build_hocs(grid: Grid, ratio: int) -> CoarseSpace:
     return CoarseSpace(grid=grid, p=_restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio))))
 
 
+def _coarse_factors(cs: CoarseSpace, problem: HelmholtzProblem) -> tuple:
+    """The dense 1D coarse factors (T_0, W_0) = (P T P^T, P W P^T) of problem, symmetrized."""
+    T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (problem.T, problem.W))
+    return (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
+
+
 def galerkin(cs: CoarseSpace, problem: HelmholtzProblem) -> CoarseSpace:
     """Factorize A_0 = R_0 A R_0^T of problem in its Kronecker eigenbasis."""
     if not isinstance(problem, HelmholtzProblem):
         raise TypeError(f"galerkin takes a HelmholtzProblem, got {type(problem).__name__}")
     if problem.grid != cs.grid:
         raise ValueError(f"coarse space is built on {cs.grid}, problem on {problem.grid}")
-    T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (problem.T, problem.W))
-    T0, W0 = (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
-    basis = linalg.eigenbasis(T0, W0)
+    basis = linalg.eigenbasis(*_coarse_factors(cs, problem))
     factorization = linalg.factorize_kronecker(basis, basis, problem.k)
-    return replace(cs, a0_factorization=factorization, a0_factors=(T0, W0, problem.k))
+    return replace(cs, a0_factorization=factorization, problem=problem)
 
 
 def coarse_correct(cs: CoarseSpace, r: np.ndarray) -> np.ndarray:

@@ -268,7 +268,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     iterations = {}
     for ck in cfg.coarse_kinds:
         for pk in cfg.preconditioners:
-            M = SchwarzPreconditioner(pk, prob, decomp, spaces[ck], local_solves=local_solves)
+            M = SchwarzPreconditioner(pk, spaces[ck], local_solves)
             report = gmres(prob.A, M, prob.f, cfg.gmres)
             iterations[f"{ck}_{pk}"] = report.iterations if report.converged else "x"
             del M, report  # the next solve runs without this one's x

@@ -1,7 +1,8 @@
 """Two-level overlapping Schwarz preconditioner applications.
 
-Three matrix-free variants over a Decomposition and a CoarseSpace, all
-using exact local and coarse solves:
+Three matrix-free variants built from the two factored levels of one
+problem, a CoarseSpace after coarse.galerkin and the LocalSolves of a
+Decomposition, all using exact local and coarse solves:
 
 * AS2  (additive):        C + sum_i R_i^T (R_i A R_i^T)^{-1} R_i
 * SAS2 (scaled additive): C + sum_i R_i^T D_i (R_i A R_i^T)^{-1} R_i
@@ -103,6 +104,8 @@ class LocalSolves:
     """
 
     def __init__(self, decomposition: Decomposition, problem: HelmholtzProblem):
+        if problem.grid != decomposition.grid:
+            raise ValueError(f"problem is assembled on {problem.grid}, decomposition built on {decomposition.grid}")
         self.decomposition = decomposition
         self.problem = problem
         classes, blocks = interval_classes(decomposition, problem)
@@ -174,32 +177,19 @@ class LocalSolves:
 
 
 class SchwarzPreconditioner:
-    """Fixed after construction, but a call M(x) works in its LocalSolves'
-    buffers: one LocalSolves must not be applied from two threads at once."""
+    """The two factored levels of one problem: a coarse space after galerkin
+    and the LocalSolves built for the same problem object.  Fixed after
+    construction, but a call M(x) works in its LocalSolves' buffers: one
+    LocalSolves must not be applied from two threads at once."""
 
-    def __init__(
-        self,
-        kind: str,
-        problem: HelmholtzProblem,
-        decomposition: Decomposition,
-        coarse_space: CoarseSpace,
-        local_solves: LocalSolves | None = None,
-    ):
+    def __init__(self, kind: str, coarse_space: CoarseSpace, local_solves: LocalSolves):
         if kind not in PRECONDITIONER_KINDS:
             raise ValueError(f"unknown preconditioner {kind!r}, expected one of {PRECONDITIONER_KINDS}")
-        if problem.grid != decomposition.grid:
-            raise ValueError("problem was assembled on a different grid than the decomposition")
-        if coarse_space.grid != decomposition.grid:
-            raise ValueError("coarse space was built on a different grid than the decomposition")
-        if coarse_space.a0_factorization is None:
-            raise ValueError("coarse space is not factorized; call galerkin() first")
+        if coarse_space.problem is not local_solves.problem:
+            raise ValueError("coarse space was not factored for the local solves' problem; call galerkin() with it")
         self.kind = kind
-        self.A = problem.A
+        self.A = local_solves.problem.A
         self.coarse_space = coarse_space
-        if local_solves is None:
-            local_solves = LocalSolves(decomposition, problem)
-        elif local_solves.problem is not problem or local_solves.decomposition is not decomposition:
-            raise ValueError("local solves were built for another problem or decomposition")
         self.local_solves = local_solves
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig, gmres
 from helmdd.harness import builtin_table, run_experiment
 from helmdd.linalg import factorize, solve
-from helmdd.schwarz import SchwarzPreconditioner
+from helmdd.schwarz import LocalSolves, SchwarzPreconditioner
 from reference import subdomains, unknown_coords, weights
 
 KS = (20, 40, 60, 80, 100)
@@ -138,11 +138,11 @@ def test_criterion_06_operator_oracle_equivalence():
 
     worst = 0.0
     for n, k, problem, p, ck, ratio in ORACLE_INSTANCES:
-        prob, dec, cs = make_instance(n, k, problem, p, ck, ratio)
+        prob, dec, cs, local_solves = make_instance(n, k, problem, p, ck, ratio)
         assert prob.A.shape[0] <= 200
         eye = np.eye(prob.A.shape[0], dtype=prob.A.dtype)
         for kind in ("AS2", "SAS2", "SHS2"):
-            M = SchwarzPreconditioner(kind, prob, dec, cs)
+            M = SchwarzPreconditioner(kind, cs, local_solves)
             dense = dense_preconditioner(kind, prob.A, dec, cs)
             got = np.column_stack([M(e) for e in eye])
             worst = max(worst, np.abs(got - dense).max() / np.abs(dense).max())
@@ -198,7 +198,7 @@ def test_criterion_09_degenerate_exactness():
     prob = assemble(g, 2.0, "MP1")
     dec = extend_max(partition(g, 2))
     cs_full = galerkin(build_focs(g, 1), prob)
-    shs = SchwarzPreconditioner("SHS2", prob, dec, cs_full)
+    shs = SchwarzPreconditioner("SHS2", cs_full, LocalSolves(dec, prob))
     rep = gmres(prob.A, shs, prob.f, GmresConfig())
     one_iter = rep.converged and rep.iterations == 1
 
@@ -206,8 +206,8 @@ def test_criterion_09_degenerate_exactness():
     cs = galerkin(build_focs(g, 4), prob)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(g.num_unknowns)
-    a = SchwarzPreconditioner("AS2", prob, dec0, cs)(x)
-    b = SchwarzPreconditioner("SAS2", prob, dec0, cs)(x)
+    a = SchwarzPreconditioner("AS2", cs, LocalSolves(dec0, prob))(x)
+    b = SchwarzPreconditioner("SAS2", cs, LocalSolves(dec0, prob))(x)
     same = np.abs(a - b).max() <= 1e-15 * np.abs(a).max()
     ok = one_iter and same
     report(9, "Degenerate exactness", ok,
@@ -227,12 +227,12 @@ def test_criterion_10_scaling_invariances():
     x = rng.standard_normal(g.num_unknowns)
     worst = 0.0
     for kind in ("AS2", "SAS2", "SHS2"):
-        a = SchwarzPreconditioner(kind, prob, dec, cs)(x)
-        b = SchwarzPreconditioner(kind, prob, dec, scaled)(x)
+        a = SchwarzPreconditioner(kind, cs, LocalSolves(dec, prob))(x)
+        b = SchwarzPreconditioner(kind, scaled, LocalSolves(dec, prob))(x)
         worst = max(worst, np.abs(a - b).max() / np.abs(a).max())
     r0_ok = worst < 1e-12
 
-    M = SchwarzPreconditioner("SHS2", prob, dec, cs)
+    M = SchwarzPreconditioner("SHS2", cs, LocalSolves(dec, prob))
     counts = []
     for side in ("right", "left"):
         cfg = GmresConfig(side=side)

@@ -179,9 +179,8 @@ def test_matches_reference_gmres_on_table_cells(problem, kind):
     """k = 20, n = 81, HOCS, as in the built-in tables (left preconditioning)."""
     grid = Grid(81, "dirichlet" if problem == "MP1" else "sommerfeld")
     prob = assemble(grid, 20.0, problem)
-    M = SchwarzPreconditioner(
-        kind, prob, extend_max(partition(grid, 20)), galerkin(build_hocs(grid, 4), prob)
-    )
+    cs = galerkin(build_hocs(grid, 4), prob)
+    M = SchwarzPreconditioner(kind, cs, LocalSolves(extend_max(partition(grid, 20)), prob))
     cfg = GmresConfig(side="left")
     report = gmres(prob.A, M, prob.f, cfg)
     iterations, _ = reference_gmres(
@@ -287,7 +286,7 @@ def test_forward_error_against_direct_solve(problem, k):
     for builder in (build_focs, build_hocs):
         cs = galerkin(builder(grid, 4), prob)
         for kind in ("AS2", "SAS2", "SHS2"):
-            M = SchwarzPreconditioner(kind, prob, dec, cs, local_solves=local_solves)
+            M = SchwarzPreconditioner(kind, cs, local_solves)
             report = gmres(prob.A, M, b, GmresConfig(side="left"))
             assert report.converged, (builder.__name__, kind)
             error = np.linalg.norm(report.x - x_star) / np.linalg.norm(x_star)
@@ -334,7 +333,7 @@ def table_cell_reports(problem, n, k, ratio, cfg):
         cs = galerkin(builder(grid, ratio), prob)
         for kind in ("AS2", "SAS2", "SHS2"):
             for side in ("left", "right"):
-                M = SchwarzPreconditioner(kind, prob, dec, cs, local_solves=local_solves)
+                M = SchwarzPreconditioner(kind, cs, local_solves)
                 reports.append(report_bytes(gmres(prob.A, M, prob.f, replace(cfg, side=side))))
     return reports
 
@@ -381,7 +380,8 @@ def test_only_the_operand_is_live_across_an_apply(side):
     Givens arrays.  GMRES holds neither r0, q0 nor the previous w."""
     grid = Grid(81, "sommerfeld")
     prob = assemble(grid, 20.0, "MP2")
-    M = SchwarzPreconditioner("SHS2", prob, extend_max(partition(grid, 20)), galerkin(build_hocs(grid, 4), prob))
+    cs = galerkin(build_hocs(grid, 4), prob)
+    M = SchwarzPreconditioner("SHS2", cs, LocalSolves(extend_max(partition(grid, 20)), prob))
     cfg = GmresConfig(max_iter=20, side=side)
     vector = prob.A.shape[0] * 16
     basis = (cfg.max_iter + 1) * vector

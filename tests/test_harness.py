@@ -278,6 +278,29 @@ def test_no_finished_solve_is_live_at_the_next(monkeypatch):
     assert max(at_entry[1:]) - at_entry[0] < 81 * 81 * 16
 
 
+def test_one_local_solves_serves_every_preconditioner_of_a_cell(monkeypatch):
+    """A table 1 cell builds its LocalSolves once, and all six preconditioners
+    (2 coarse kinds x 3 kinds) hold that one object."""
+    cfg = replace(builtin_table(1), k_list=(20,), n_list=(81,))
+    built, preconditioners = [], []
+    local_solves, preconditioner = harness.LocalSolves, harness.SchwarzPreconditioner
+
+    def counted_local_solves(*args):
+        built.append(local_solves(*args))
+        return built[-1]
+
+    def recorded_preconditioner(*args):
+        preconditioners.append(preconditioner(*args))
+        return preconditioners[-1]
+
+    monkeypatch.setattr(harness, "LocalSolves", counted_local_solves)
+    monkeypatch.setattr(harness, "SchwarzPreconditioner", recorded_preconditioner)
+    (row,) = run_experiment(cfg, warn=lambda m: None)
+    assert len(row.iterations) == len(preconditioners) == 6
+    assert len(built) == 1
+    assert all(M.local_solves is built[0] for M in preconditioners)
+
+
 def test_run_experiment_rejects_even_n_mp1():
     with pytest.raises(ConfigError, match="even|odd|source"):
         cfg = ExperimentConfig(problem="MP1", k_list=(5,), n_list=(10,), coarse_ratio=3)

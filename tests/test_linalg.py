@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from helmdd.coarse import build_focs, build_hocs, galerkin
+from helmdd.coarse import _coarse_factors, build_focs, build_hocs, galerkin
 from helmdd.decomposition import extend_max, interval_classes, partition
 from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig
@@ -185,7 +185,8 @@ def complex_pencils():
         yield pytest.param(*random_complex_pencil(size, seed=size), id=f"random-{size}")
     for k in (20, 40, 100):
         for kind in ("FOCS", "HOCS"):
-            T0, W0, _ = table1_coarse_space(k, kind).a0_factors
+            cs = table1_coarse_space(k, kind)
+            T0, W0 = _coarse_factors(cs, cs.problem)
             yield pytest.param(T0, W0, id=f"coarse-{kind}-k{k}")
         grid = Grid(4 * k + 1, "sommerfeld")
         _, blocks = interval_classes(extend_max(partition(grid, k)), assemble(grid, float(k), "MP2"))
@@ -233,7 +234,7 @@ def test_real_eigenbasis_is_scipy_eigh_byte_for_byte(name):
         grid = Grid(161, "dirichlet")
         prob = assemble(grid, 40.0, "MP1")
         if name == "MP1-coarse":
-            T, W, _ = galerkin(build_hocs(grid, 4), prob).a0_factors
+            T, W = _coarse_factors(build_hocs(grid, 4), prob)
         else:
             (T, W), *_ = interval_classes(extend_max(partition(grid, 40)), prob)[1]
     basis = eigenbasis(T, W)

@@ -1,4 +1,5 @@
 import contextlib
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -41,7 +42,7 @@ def make_instance(n, k, problem, p, coarse_kind, ratio, overlap="max"):
     dec = extend_max(part) if overlap == "max" else extend(part, overlap)
     builder = build_focs if coarse_kind == "FOCS" else build_hocs
     cs = galerkin(builder(grid, ratio), prob)
-    return prob, dec, cs
+    return prob, dec, cs, LocalSolves(dec, prob)
 
 
 def reference_coarse_solve(A):
@@ -82,9 +83,9 @@ ORACLE_INSTANCES = [
 @pytest.mark.parametrize("kind", ["AS2", "SAS2", "SHS2"])
 @pytest.mark.parametrize("n,k,problem,p,ck,ratio", ORACLE_INSTANCES)
 def test_apply_matches_dense_oracle(kind, n, k, problem, p, ck, ratio, reference_coarse=False):
-    prob, dec, cs = make_instance(n, k, problem, p, ck, ratio)
+    prob, dec, cs, local_solves = make_instance(n, k, problem, p, ck, ratio)
     assert prob.A.shape[0] <= 200
-    M = SchwarzPreconditioner(kind, prob, dec, cs)
+    M = SchwarzPreconditioner(kind, cs, local_solves)
     dense = dense_preconditioner(kind, prob.A, dec, cs)
     with reference_coarse_solve(prob.A) if reference_coarse else contextlib.nullcontext():
         got = np.column_stack([M(e) for e in np.eye(prob.A.shape[0], dtype=prob.A.dtype)])
@@ -99,14 +100,14 @@ def test_reference_coarse_apply_matches_dense_oracle(kind, n, k, problem, p, ck,
 
 
 def test_zero_maps_to_zero():
-    prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
-    M = SchwarzPreconditioner("AS2", prob, dec, cs)
+    _, _, cs, local_solves = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
+    M = SchwarzPreconditioner("AS2", cs, local_solves)
     assert np.all(M(np.zeros(49)) == 0.0)
 
 
 def test_linearity():
-    prob, dec, cs = make_instance(9, 3.0, "MP2", 2, "HOCS", 4)
-    M = SchwarzPreconditioner("SHS2", prob, dec, cs)
+    _, _, cs, local_solves = make_instance(9, 3.0, "MP2", 2, "HOCS", 4)
+    M = SchwarzPreconditioner("SHS2", cs, local_solves)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(81) + 1j * rng.standard_normal(81)
     y = rng.standard_normal(81) + 1j * rng.standard_normal(81)
@@ -117,7 +118,7 @@ def test_linearity():
 
 
 def test_as2_is_symmetric_for_real_symmetric_matrix():
-    prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
+    prob, dec, cs, _ = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
     dense = dense_preconditioner("AS2", prob.A, dec, cs)
     assert np.abs(dense - dense.T).max() < 1e-12 * np.abs(dense).max()
 
@@ -127,7 +128,7 @@ def test_degenerate_single_domain_full_coarse_is_twice_inverse():
     prob = assemble(grid, 2.0, "MP1")
     dec = extend(partition(grid, 1), 0)
     cs = galerkin(build_focs(grid, 1), prob)  # ratio 1: coarse space = full space
-    M = SchwarzPreconditioner("AS2", prob, dec, cs)
+    M = SchwarzPreconditioner("AS2", cs, LocalSolves(dec, prob))
     rng = np.random.default_rng(1)
     x = rng.standard_normal(49)
     expected = 2.0 * solve(factorize(prob.A), x)
@@ -139,10 +140,11 @@ def test_no_overlap_makes_scaled_equal_plain():
     prob = assemble(grid, 2.0, "MP1")
     dec = extend(partition(grid, 2), 0)
     cs = galerkin(build_focs(grid, 4), prob)
+    local_solves = LocalSolves(dec, prob)
     rng = np.random.default_rng(2)
     x = rng.standard_normal(49)
-    plain = SchwarzPreconditioner("AS2", prob, dec, cs)(x)
-    scaled = SchwarzPreconditioner("SAS2", prob, dec, cs)(x)
+    plain = SchwarzPreconditioner("AS2", cs, local_solves)(x)
+    scaled = SchwarzPreconditioner("SAS2", cs, local_solves)(x)
     assert np.abs(plain - scaled).max() < 1e-15 * np.abs(plain).max()
 
 
@@ -151,7 +153,7 @@ def test_full_coarse_space_makes_hybrid_exact():
     prob = assemble(grid, 2.0, "MP1")
     dec = extend_max(partition(grid, 2))
     cs = galerkin(build_focs(grid, 1), prob)
-    M = SchwarzPreconditioner("SHS2", prob, dec, cs)
+    M = SchwarzPreconditioner("SHS2", cs, LocalSolves(dec, prob))
     rng = np.random.default_rng(3)
     x = rng.standard_normal(49)
     exact = solve(factorize(prob.A), x)
@@ -161,7 +163,7 @@ def test_full_coarse_space_makes_hybrid_exact():
 
 
 def test_coarse_deflation_annihilates_coarse_residual():
-    prob, dec, cs = make_instance(17, 5.0, "MP1", 4, "HOCS", 4)
+    prob, _, cs, _ = make_instance(17, 5.0, "MP1", 4, "HOCS", 4)
     from helmdd.coarse import coarse_correct
 
     rng = np.random.default_rng(4)
@@ -174,12 +176,12 @@ def test_coarse_deflation_annihilates_coarse_residual():
 def test_rescaling_coarse_operator_changes_nothing(kind):
     from dataclasses import replace
 
-    prob, dec, cs = make_instance(13, 5.0, "MP2", 3, "HOCS", 4)
+    prob, _, cs, local_solves = make_instance(13, 5.0, "MP2", 3, "HOCS", 4)
     scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0_factorization=None), prob)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(prob.A.shape[0]) + 1j * rng.standard_normal(prob.A.shape[0])
-    a = SchwarzPreconditioner(kind, prob, dec, cs)(x)
-    b = SchwarzPreconditioner(kind, prob, dec, scaled)(x)
+    a = SchwarzPreconditioner(kind, cs, local_solves)(x)
+    b = SchwarzPreconditioner(kind, scaled, local_solves)(x)
     assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
 
 
@@ -187,11 +189,11 @@ def test_rescaling_coarse_operator_changes_nothing(kind):
 def test_subdomain_order_independence(kind):
     """The batched apply matches the plain loop over the subdomains taken in a
     random order: the class-ordered gather and scatter depend on no order."""
-    prob, dec, cs = make_instance(17, 5.0, "MP1", 4, "HOCS", 4)
+    prob, dec, cs, local_solves = make_instance(17, 5.0, "MP1", 4, "HOCS", 4)
     rng = np.random.default_rng(6)
     perm = rng.permutation(dec.num_subdomains)
     x = rng.standard_normal(prob.A.shape[0])
-    a = SchwarzPreconditioner(kind, prob, dec, cs)(x)
+    a = SchwarzPreconditioner(kind, cs, local_solves)(x)
     b = reference_preconditioner(kind, prob.A, dec, cs, order=perm)(x)
     assert np.abs(a - b).max() < 1e-13 * np.abs(a).max()
 
@@ -219,7 +221,7 @@ def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, c
     x = rng.standard_normal(prob.A.shape[0]).astype(prob.A.dtype)
     if np.iscomplexobj(x):
         x += 1j * rng.standard_normal(len(x))
-    got = SchwarzPreconditioner(kind, prob, dec, cs)(x)
+    got = SchwarzPreconditioner(kind, cs, LocalSolves(dec, prob))(x)
     want = reference_preconditioner(kind, prob.A, dec, cs)(x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -228,8 +230,8 @@ def test_batched_apply_matches_loop_over_subdomains(problem, p, half_cells, k, c
 @pytest.mark.parametrize("problem", ["MP1", "MP2"])
 def test_factored_blocks_match_loop_over_subdomains(problem, kind):
     """Boxes of 23 x 23 (MP1) and 24 x 24 (MP2) unknowns take the Kronecker path."""
-    prob, dec, cs = make_instance(33, 8.0, problem, 2, "HOCS", 16)
-    M = SchwarzPreconditioner(kind, prob, dec, cs)
+    prob, dec, cs, local_solves = make_instance(33, 8.0, problem, 2, "HOCS", 16)
+    M = SchwarzPreconditioner(kind, cs, local_solves)
     assert all(isinstance(solver, KroneckerFactorization) for *_, solver in M.local_solves.classes)
     reference = reference_preconditioner(kind, prob.A, dec, cs)
     rng = np.random.default_rng(7)
@@ -248,7 +250,7 @@ def test_lu_reference_takes_the_table_counts(table):
     coarse kind and preconditioner combinations of the table's (k, n) = (20, 81)."""
     cfg = builtin_table(table)
     (row,) = run_experiment(replace(cfg, k_list=(20,), n_list=(81,)), warn=lambda m: None)
-    prob, dec, _ = make_instance(81, 20, cfg.problem, 20, "HOCS", cfg.coarse_ratio)
+    prob, dec, _, _ = make_instance(81, 20, cfg.problem, 20, "HOCS", cfg.coarse_ratio)
     coarse_lu = lambda cs, r: coarse_correct_lu(cs, prob.A, r)
     for ck, builder in (("FOCS", build_focs), ("HOCS", build_hocs)):
         cs = builder(dec.grid, cfg.coarse_ratio)
@@ -373,7 +375,7 @@ def test_kronecker_solve_is_bit_identical_to_per_member_products(n, k, problem, 
     grid array, with and without caller-given storage, for every class of a
     table layout (factored whatever its size) and for its coarse problem.
     These layouts have boxes 5 to 7, 23 and 31 nodes wide."""
-    prob, dec, cs = make_instance(n, k, problem, p, "HOCS", ratio)
+    prob, dec, cs, _ = make_instance(n, k, problem, p, "HOCS", ratio)
     with mock.patch.object(schwarz, "DENSE_BLOCK_MAX_UNKNOWNS", 0):
         classes = LocalSolves(dec, prob).classes
     rng = np.random.default_rng(n)
@@ -404,8 +406,7 @@ def second_add_to_peak(local_solves, x):
 
 def test_buffered_add_to_allocates_less_than_one_gathered_vector():
     """A second add_to reuses its buffers; x[gather] alone would take len(gather) * 16 bytes."""
-    prob, dec, cs = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
-    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    prob, _, _, local_solves = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
     x = random_vector(np.random.default_rng(0), prob.A.shape[0], complex)
     assert second_add_to_peak(local_solves, x) < len(local_solves.gather) * 16
 
@@ -413,16 +414,14 @@ def test_buffered_add_to_allocates_less_than_one_gathered_vector():
 def test_buffered_add_to_of_factored_classes_allocates_less_than_one_gathered_vector():
     """The same on MP1 n = 129 at H = 16h, whose four classes are all factored:
     each class solve writes into add_to's kept buffers."""
-    prob, dec, cs = make_instance(129, 30.0, "MP1", 8, "HOCS", 16)
-    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    prob, _, _, local_solves = make_instance(129, 30.0, "MP1", 8, "HOCS", 16)
     assert all(isinstance(solver, KroneckerFactorization) for *_, solver in local_solves.classes)
     x = random_vector(np.random.default_rng(0), prob.A.shape[0], float)
     assert second_add_to_peak(local_solves, x) < len(local_solves.gather) * x.itemsize
 
 
 def test_buffered_add_to_is_bit_identical_on_mp2():
-    prob, dec, cs = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
-    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    prob, _, _, local_solves = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
     rng = np.random.default_rng(1)
     for _ in range(2):
         assert_add_to_bit_identical(local_solves, random_vector(rng, prob.A.shape[0], complex))
@@ -430,8 +429,7 @@ def test_buffered_add_to_is_bit_identical_on_mp2():
 
 @pytest.mark.parametrize("p, ratio", [(4, 4), (2, 16)])  # dense classes; Kronecker classes
 def test_buffered_add_to_is_bit_identical_across_a_dtype_switch(p, ratio):
-    prob, dec, cs = make_instance(33, 8.0, "MP1", p, "HOCS", ratio)
-    local_solves = SchwarzPreconditioner("SHS2", prob, dec, cs).local_solves
+    prob, _, _, local_solves = make_instance(33, 8.0, "MP1", p, "HOCS", ratio)
     rng = np.random.default_rng(2)
     for dtype in (complex, float, complex):
         assert_add_to_bit_identical(local_solves, random_vector(rng, prob.A.shape[0], dtype))
@@ -441,8 +439,7 @@ def test_first_add_to_keeps_less_than_one_gathered_vector():
     """Between applies LocalSolves keeps chunk-long buffers only, here two
     buffers of 722 members of the 49-unknown class: 1.13 MB against the
     1.24 MB of x[gather] (whole-gather buffers kept 3.7 MB)."""
-    prob, dec, _ = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
-    local_solves = LocalSolves(dec, prob)
+    prob, _, _, local_solves = make_instance(161, 40.0, "MP2", 40, "HOCS", 4)
     x = random_vector(np.random.default_rng(0), prob.A.shape[0], complex)
     out = np.zeros_like(x)
     tracemalloc.start()
@@ -464,8 +461,7 @@ def test_chunked_add_to_is_bit_identical_to_whole_class_products(n, k, problem, 
     byte, for real and complex x, weighted or not.  Each layout cuts its
     largest class: the dense 49-unknown one into two chunks of 722 members,
     the factored 31 x 31 one of n = 257 into five of 39 or 40."""
-    prob, dec, _ = make_instance(n, k, problem, p, "HOCS", ratio)
-    local_solves = LocalSolves(dec, prob)
+    prob, _, _, local_solves = make_instance(n, k, problem, p, "HOCS", ratio)
     assert len(list(local_solves._chunks())) > len(local_solves.classes)
     rng = np.random.default_rng(n)
     for dtype in (float, complex):
@@ -494,10 +490,10 @@ def test_add_to_at_small_chunks_matches_whole_class_products(n, k, problem, p, r
     production chunks, never shorter than _CHUNK_ENTRIES // size members,
     give the same bytes on these layouts.
     """
-    prob, dec, _ = make_instance(n, k, problem, p, "HOCS", ratio)
+    prob, dec, _, production = make_instance(n, k, problem, p, "HOCS", ratio)
     size = max(
         solver.d.size if isinstance(solver, KroneckerFactorization) else len(solver)
-        for *_, solver in LocalSolves(dec, prob).classes
+        for *_, solver in production.classes
     )
     rng = np.random.default_rng(n)
     with mock.patch.object(schwarz, "_CHUNK_ENTRIES", members * size):
@@ -559,65 +555,80 @@ def test_resonant_local_block_is_rejected_by_both_paths():
                 factorize(local_matrix(dec, i, prob.A))
 
 
-def test_local_solves_from_another_problem_or_decomposition_rejected():
+def test_local_solves_from_another_problem_rejected():
     grid = Grid(33, "dirichlet")
     prob5, prob20 = assemble(grid, 5.0, "MP1"), assemble(grid, 20.0, "MP1")
     dec_max, dec_one = extend_max(partition(grid, 8)), extend(partition(grid, 8), 1)
     cs = galerkin(build_hocs(grid, 4), prob5)
-    for prob, dec in ((prob20, dec_one), (prob20, dec_max), (prob5, dec_one)):
-        built = SchwarzPreconditioner("SHS2", prob, dec, galerkin(build_hocs(grid, 4), prob)).local_solves
-        with pytest.raises(ValueError, match="another problem or decomposition"):
-            SchwarzPreconditioner("SHS2", prob5, dec_max, cs, local_solves=built)
-    own = SchwarzPreconditioner("SHS2", prob5, dec_max, cs).local_solves
-    SchwarzPreconditioner("AS2", prob5, dec_max, cs, local_solves=own)
+    for dec in (dec_one, dec_max):
+        with pytest.raises(ValueError, match="galerkin"):
+            SchwarzPreconditioner("SHS2", cs, LocalSolves(dec, prob20))
+    SchwarzPreconditioner("AS2", cs, LocalSolves(dec_max, prob5))
 
 
 def test_unknown_kind_rejected():
-    prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
+    _, _, cs, local_solves = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
     with pytest.raises(ValueError):
-        SchwarzPreconditioner("RAS", prob, dec, cs)
+        SchwarzPreconditioner("RAS", cs, local_solves)
 
 
 def test_dimension_mismatch_rejected():
-    prob, dec, cs = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
-    M = SchwarzPreconditioner("AS2", prob, dec, cs)
+    _, _, cs, local_solves = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
+    M = SchwarzPreconditioner("AS2", cs, local_solves)
     with pytest.raises(ValueError):
         M(np.ones(50))
 
 
 def test_unfactorized_coarse_space_rejected():
-    prob, dec, _ = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
+    _, dec, _, local_solves = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
     with pytest.raises(ValueError, match="galerkin"):
-        SchwarzPreconditioner("AS2", prob, dec, build_focs(dec.grid, 4))
+        SchwarzPreconditioner("AS2", build_focs(dec.grid, 4), local_solves)
 
 
 def test_coarse_space_from_another_grid_rejected():
     grid = Grid(33, "dirichlet")
-    prob = assemble(grid, 5.0, "MP1")
-    dec = extend_max(partition(grid, 8))
+    local_solves = LocalSolves(extend_max(partition(grid, 8)), assemble(grid, 5.0, "MP1"))
     # same number of unknowns (961) on another grid
     other_grid = Grid(31, "sommerfeld")
     same_size = galerkin(build_focs(other_grid, 2), assemble(other_grid, 5.0, "MP2"))
     smaller_grid = Grid(17, "dirichlet")
     smaller = galerkin(build_focs(smaller_grid, 2), assemble(smaller_grid, 5.0, "MP1"))
     for cs in (same_size, smaller):
-        with pytest.raises(ValueError, match="different grid"):
-            SchwarzPreconditioner("AS2", prob, dec, cs)
+        with pytest.raises(ValueError, match="galerkin"):
+            SchwarzPreconditioner("AS2", cs, local_solves)
+
+
+def test_coarse_space_factored_for_another_problem_rejected():
+    """A coarse space factored for k = 20 with local solves of k = 40 on the
+    same grid: the pair would give GMRES 98 iterations where the matched
+    k = 40 pair takes 46 (MP2, n = 81, HOCS, SHS2, left preconditioning).  An
+    unfactored space is rejected too."""
+    grid = Grid(81, "sommerfeld")
+    prob20, prob40 = assemble(grid, 20.0, "MP2"), assemble(grid, 40.0, "MP2")
+    local_solves = LocalSolves(extend_max(partition(grid, 20)), prob40)
+    for cs in (galerkin(build_hocs(grid, 4), prob20), build_focs(grid, 4)):
+        with pytest.raises(ValueError, match="galerkin"):
+            SchwarzPreconditioner("SHS2", cs, local_solves)
+    M = SchwarzPreconditioner("SHS2", galerkin(build_hocs(grid, 4), prob40), local_solves)
+    report = gmres(prob40.A, M, prob40.f, GmresConfig(side="left"))
+    assert report.converged and report.iterations == 46
 
 
 def test_problem_from_another_grid_rejected():
-    grid = Grid(33, "dirichlet")
-    dec = extend_max(partition(grid, 8))
-    cs = galerkin(build_focs(grid, 4), assemble(grid, 5.0, "MP1"))
-    # same number of unknowns (961) on another grid
-    other = assemble(Grid(31, "sommerfeld"), 5.0, "MP2")
-    with pytest.raises(ValueError, match="different grid"):
-        SchwarzPreconditioner("AS2", other, dec, cs)
+    """LocalSolves takes a problem assembled on its decomposition's grid only:
+    one of as many unknowns (961) on another grid, and one of fewer unknowns."""
+    cases = [
+        (Grid(33, "dirichlet"), 8, assemble(Grid(31, "sommerfeld"), 5.0, "MP2")),
+        (Grid(81, "sommerfeld"), 20, assemble(Grid(81, "dirichlet"), 20.0, "MP1")),
+    ]
+    for grid, p, prob in cases:
+        with pytest.raises(ValueError, match=rf"{re.escape(repr(prob.grid))}.*{re.escape(repr(grid))}"):
+            LocalSolves(extend_max(partition(grid, p)), prob)
 
 
 def test_reference_coarse_apply_accepts_complex_vector_on_real_matrix():
-    prob, dec, cs = make_instance(17, 5.0, "MP1", 4, "HOCS", 4)
-    M = SchwarzPreconditioner("SHS2", prob, dec, cs)
+    prob, _, cs, local_solves = make_instance(17, 5.0, "MP1", 4, "HOCS", 4)
+    M = SchwarzPreconditioner("SHS2", cs, local_solves)
     x = (1 + 1j) * np.ones(prob.A.shape[0])
     with reference_coarse_solve(prob.A):
         got = M(x)
