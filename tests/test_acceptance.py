@@ -2,7 +2,9 @@
 
 The table criteria run the built-in benchmark sweeps (left-preconditioned
 stopping, the convention the nominal counts were recorded under),
-restricted to the wavenumbers each criterion names.  Iteration-count
+restricted to the wavenumbers each criterion names; criteria 4 and 5 read
+the full runs of tables 3 and 4 that they share with tests/test_golden.py
+(the table_rows fixture).  Iteration-count
 tolerances are fixed here and nowhere else.  Run with
 `pytest tests/test_acceptance.py -v -s`.
 """
@@ -83,11 +85,11 @@ def test_criterion_03_table2_contrast():
     assert ok, (focs_as2, shs)
 
 
-def test_criterion_04_table3_regime_boundary():
+def test_criterion_04_table3_regime_boundary(table_rows):
     """SHS2/HOCS H=4h sweep: k=10 counts <= 9 for n >= 41; k=20 at n=161
     within [4,9]; counts nonincreasing in n past kappa_H <= 1 (+-1)."""
     ns = tuple(range(33, 162, 8))
-    rows = run_rows(3, k_list=(10, 20), n_list=ns)
+    rows = table_rows(3)
     by_k = {k: [r.iterations["HOCS_SHS2"] for r in rows if r.k == k] for k in (10, 20)}
 
     def capped(v):
@@ -108,12 +110,12 @@ def test_criterion_04_table3_regime_boundary():
     assert ok, (k10, k20)
 
 
-def test_criterion_05_table4_spot_checks():
+def test_criterion_05_table4_spot_checks(table_rows):
     """SHS2/HOCS H=16h: k=5 at n in (33, 257) within [3,11]; k=30 at n=257
     within [12,24] and at least 1.5x cheaper than the under-resolved small-n
     runs."""
     ns = (33, 49, 65, 81, 97, 113, 129, 257)
-    rows = run_rows(4, k_list=(5, 30), n_list=ns)
+    rows = table_rows(4)
 
     def capped(v):
         return 50 if v == "x" else v
