@@ -15,7 +15,6 @@ from .discretization import (
     Grid,
     HelmholtzProblem,
     RegimeReport,
-    analytical_mp1,
     assemble,
     regime,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SingularMatrixError",
     "SolveReport",
     "TableRow",
-    "analytical_mp1",
     "assemble",
     "build_focs",
     "build_hocs",

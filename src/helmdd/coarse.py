@@ -13,21 +13,24 @@ Two coarse spaces on the coarse grid with spacing H = ratio * h:
 Both come from one 1D builder that centers a tap vector at every step-th
 node of a line and composes levels: FOCS passes the hat taps 1 - |d|/r at
 step r for one level, HOCS the Bezier taps at step 2 for log2(r) levels.
-A CoarseSpace stores only this 1D operator P.  Stencil taps falling
-outside the line are dropped (zero padding).  On Dirichlet grids the
+A CoarseSpace stores only the grid and this 1D operator P.  Stencil taps
+falling outside the line are dropped (zero padding).  On Dirichlet grids the
 unknown set at every level consists of the interior nodes, so coarse basis
 functions attached to boundary coarse nodes are excluded, mirroring the
 fine-grid convention.
 
-galerkin forms the coarse problem of a HelmholtzProblem.  Its matrix
-A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble) and R_0 = P(x)P
-make A_0 = R_0 A R_0^T the same Kronecker sum of T_0 = P T P^T and
-W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker
-with the one eigenbasis of (T_0, W_0) in both dimensions).  The space keeps
-the problem it was factored for, and the sparse A_0 is formed from it on
-access, for inspection; no solve reads it.  coarse_correct applies R_0 and
-R_0^T as P X P^T and P^T Y P on the grid vector reshaped to a square, so
-R_0 is never formed.
+galerkin forms the coarse level of a space for a HelmholtzProblem.  The
+problem's A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble) and
+R_0 = P(x)P make A_0 = R_0 A R_0^T the same Kronecker sum of T_0 = P T P^T
+and W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker
+with the one eigenbasis of (T_0, W_0) in both dimensions).  The CoarseLevel
+it returns holds P, that factorization and the problem, none of them
+optional, and is no dataclass: dataclasses.replace cannot pair a new P with
+the old factorization.  A space changed with replace is a new space, and a
+new call to galerkin factors it.  The level forms the sparse A_0 from the
+problem on access, for inspection; no solve reads it.  coarse_correct
+applies R_0 and R_0^T as P X P^T and P^T Y P on the grid vector reshaped to
+a square, so R_0 is never formed.
 
 The preconditioners built on top are invariant under any invertible
 rescaling of R_0 or P (it cancels in R_0^T (R_0 A R_0^T)^{-1} R_0), so the
@@ -36,7 +39,7 @@ stencil normalization is immaterial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,18 +55,26 @@ _BEZIER_TAPS = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 8.0
 
 @dataclass(frozen=True)
 class CoarseSpace:
-    """The fine grid, the 1D restriction P (R_0 = P(x)P) and, after galerkin,
-    the eigenbasis factorization of A_0 and the problem it was factored for."""
+    """The fine grid and the 1D restriction P of a coarse space, R_0 = P(x)P."""
 
     grid: Grid
     p: sp.csr_matrix
-    a0_factorization: linalg.KroneckerFactorization | None = None
-    problem: HelmholtzProblem | None = None
+
+
+class CoarseLevel:
+    """The factored coarse level of one problem, made by galerkin: the 1D
+    restriction p, the KroneckerFactorization of A_0 = R_0 A R_0^T and the
+    problem it was factored for."""
+
+    def __init__(self, p: sp.csr_matrix, factorization: linalg.KroneckerFactorization, problem: HelmholtzProblem):
+        self.p = p
+        self.factorization = factorization
+        self.problem = problem
 
     @property
-    def a0(self) -> sp.csr_matrix | None:
+    def a0(self) -> sp.csr_matrix:
         """A_0, the Kronecker sum of (T_0, W_0, k), formed anew on every access."""
-        return None if self.problem is None else kronecker_sum(*_coarse_factors(self, self.problem), self.problem.k)
+        return kronecker_sum(*_coarse_factors(self.p, self.problem), self.problem.k)
 
 
 def _check_ratio(grid: Grid, ratio: int, powers_of_two: bool):
@@ -106,28 +117,25 @@ def build_hocs(grid: Grid, ratio: int) -> CoarseSpace:
     return CoarseSpace(grid=grid, p=_restriction_1d(grid, _BEZIER_TAPS, 2, int(np.log2(ratio))))
 
 
-def _coarse_factors(cs: CoarseSpace, problem: HelmholtzProblem) -> tuple:
+def _coarse_factors(p: sp.csr_matrix, problem: HelmholtzProblem) -> tuple:
     """The dense 1D coarse factors (T_0, W_0) = (P T P^T, P W P^T) of problem, symmetrized."""
-    T0, W0 = ((cs.p @ F @ cs.p.T).toarray() for F in (problem.T, problem.W))
+    T0, W0 = ((p @ F @ p.T).toarray() for F in (problem.T, problem.W))
     return (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
 
 
-def galerkin(cs: CoarseSpace, problem: HelmholtzProblem) -> CoarseSpace:
-    """Factorize A_0 = R_0 A R_0^T of problem in its Kronecker eigenbasis."""
+def galerkin(space: CoarseSpace, problem: HelmholtzProblem) -> CoarseLevel:
+    """The coarse level of space for problem: A_0 = R_0 A R_0^T factored in its Kronecker eigenbasis."""
     if not isinstance(problem, HelmholtzProblem):
         raise TypeError(f"galerkin takes a HelmholtzProblem, got {type(problem).__name__}")
-    if problem.grid != cs.grid:
-        raise ValueError(f"coarse space is built on {cs.grid}, problem on {problem.grid}")
-    basis = linalg.eigenbasis(*_coarse_factors(cs, problem))
-    factorization = linalg.factorize_kronecker(basis, basis, problem.k)
-    return replace(cs, a0_factorization=factorization, problem=problem)
+    if problem.grid != space.grid:
+        raise ValueError(f"coarse space is built on {space.grid}, problem on {problem.grid}")
+    basis = linalg.eigenbasis(*_coarse_factors(space.p, problem))
+    return CoarseLevel(space.p, linalg.factorize_kronecker(basis, basis, problem.k), problem)
 
 
-def coarse_correct(cs: CoarseSpace, r: np.ndarray) -> np.ndarray:
+def coarse_correct(level: CoarseLevel, r: np.ndarray) -> np.ndarray:
     """Apply the coarse-level correction R_0^T A_0^{-1} R_0 to a fine vector."""
-    if cs.a0_factorization is None:
-        raise ValueError("coarse matrix not factorized; call galerkin() first")
-    p, m = cs.p, cs.p.shape[1]
+    p, m = level.p, level.p.shape[1]
     # on row-major grid arrays R_0 x is P X P^T and R_0^T y is P^T Y P
-    Y = cs.a0_factorization.solve((p @ (p @ r.reshape(m, m)).T).T)
+    Y = level.factorization.solve((p @ (p @ r.reshape(m, m)).T).T)
     return (p.T @ (p.T @ Y).T).T.ravel()

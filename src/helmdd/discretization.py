@@ -31,10 +31,6 @@ import scipy.sparse as sp
 PROBLEMS = ("MP1", "MP2")
 
 
-class ResonantWavenumberError(ValueError):
-    """k^2 coincides with an eigenvalue of the Dirichlet Laplacian."""
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform n-by-n node grid on the unit square.
@@ -124,7 +120,7 @@ def regime(k: float, h: float, H: float) -> RegimeReport:
 def kronecker_sum(T, W, k: float) -> sp.csr_matrix:
     """T(x)W + W(x)T - k^2 W(x)W of the 1D factors T and W, as sorted CSR.
 
-    The general builder, for any sparse or dense T and W.  CoarseSpace.a0
+    The general builder, for any sparse or dense T and W.  CoarseLevel.a0
     forms A_0 with it from the coarse factors T_0 and W_0, which are not
     tridiagonal, and the tests take it as the reference for assemble.
     """
@@ -189,26 +185,3 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     f[grid.unknown_index(c, c)] = 1.0 / h**2
     return HelmholtzProblem(grid=grid, k=k, A=A, f=f, T=T, W=W)
 
-
-def analytical_mp1(k: float, point, truncation: int = 400):
-    """Truncated eigenfunction expansion of the MP1 solution.
-
-    u(x, y) = sum over m, l of
-        4 sin(m pi/2) sin(l pi/2) sin(m pi x) sin(l pi y) / ((m^2+l^2) pi^2 - k^2)
-
-    Only odd (m, l) contribute.  Boundary points return exactly 0.
-    """
-    x, y = point
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"point {point} outside the closed unit square")
-    if x in (0.0, 1.0) or y in (0.0, 1.0):
-        return 0.0
-    modes = np.arange(1, truncation + 1, 2, dtype=float)
-    # sin(m pi / 2) = +1, -1, +1, ... for m = 1, 3, 5, ...
-    signs = np.where((modes % 4) == 1, 1.0, -1.0)
-    denom = (modes[:, None] ** 2 + modes[None, :] ** 2) * np.pi**2 - k**2
-    if np.abs(denom).min() < 1e-12:
-        raise ResonantWavenumberError(f"k={k} is resonant within truncation {truncation}")
-    sx = signs * np.sin(modes * np.pi * x)
-    sy = signs * np.sin(modes * np.pi * y)
-    return 4.0 * float(sx @ (1.0 / denom) @ sy)

@@ -258,7 +258,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     # (linalg.eigenbasis), LocalSolves just before the first solve, and a pause
     # there lowered no solve_s beyond the noise (CHANGES.md, the solve-path cuts)
     builders = {"FOCS": build_focs, "HOCS": build_hocs}
-    spaces = {
+    levels = {
         ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds
     }
     local_solves = LocalSolves(decomp, prob)
@@ -268,7 +268,7 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     iterations = {}
     for ck in cfg.coarse_kinds:
         for pk in cfg.preconditioners:
-            M = SchwarzPreconditioner(pk, spaces[ck], local_solves)
+            M = SchwarzPreconditioner(pk, levels[ck], local_solves)
             report = gmres(prob.A, M, prob.f, cfg.gmres)
             iterations[f"{ck}_{pk}"] = report.iterations if report.converged else "x"
             del M, report  # the next solve runs without this one's x

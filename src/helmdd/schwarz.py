@@ -1,8 +1,8 @@
 """Two-level overlapping Schwarz preconditioner applications.
 
 Three matrix-free variants built from the two factored levels of one
-problem, a CoarseSpace after coarse.galerkin and the LocalSolves of a
-Decomposition, all using exact local and coarse solves:
+problem, the CoarseLevel that coarse.galerkin returns and the LocalSolves of
+a Decomposition, all using exact local and coarse solves:
 
 * AS2  (additive):        C + sum_i R_i^T (R_i A R_i^T)^{-1} R_i
 * SAS2 (scaled additive): C + sum_i R_i^T D_i (R_i A R_i^T)^{-1} R_i
@@ -66,7 +66,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .coarse import CoarseSpace, coarse_correct
+from .coarse import CoarseLevel, coarse_correct
 from .decomposition import Decomposition, box_indices, interval_classes
 from .discretization import HelmholtzProblem
 
@@ -177,26 +177,28 @@ class LocalSolves:
 
 
 class SchwarzPreconditioner:
-    """The two factored levels of one problem: a coarse space after galerkin
-    and the LocalSolves built for the same problem object.  Fixed after
-    construction, but a call M(x) works in its LocalSolves' buffers: one
+    """The two factored levels of one problem: the CoarseLevel that galerkin
+    returns and the LocalSolves built for the same problem object.  Fixed
+    after construction, but a call M(x) works in its LocalSolves' buffers: one
     LocalSolves must not be applied from two threads at once."""
 
-    def __init__(self, kind: str, coarse_space: CoarseSpace, local_solves: LocalSolves):
+    def __init__(self, kind: str, coarse_level: CoarseLevel, local_solves: LocalSolves):
         if kind not in PRECONDITIONER_KINDS:
             raise ValueError(f"unknown preconditioner {kind!r}, expected one of {PRECONDITIONER_KINDS}")
-        if coarse_space.problem is not local_solves.problem:
-            raise ValueError("coarse space was not factored for the local solves' problem; call galerkin() with it")
+        if not isinstance(coarse_level, CoarseLevel):
+            raise TypeError(f"coarse level must come from galerkin(), got {type(coarse_level).__name__}")
+        if coarse_level.problem is not local_solves.problem:
+            raise ValueError("coarse level was not factored for the local solves' problem; call galerkin() with it")
         self.kind = kind
         self.A = local_solves.problem.A
-        self.coarse_space = coarse_space
+        self.coarse_level = coarse_level
         self.local_solves = local_solves
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.result_type(np.asarray(x).dtype, self.A.dtype))
         if x.shape[0] != self.A.shape[0]:
             raise ValueError(f"operator has dimension {self.A.shape[0]}, vector {x.shape[0]}")
-        y = coarse_correct(self.coarse_space, x)
+        y = coarse_correct(self.coarse_level, x)
         if self.kind == "SHS2":
             r = self.A @ y
             np.subtract(x, r, out=r)

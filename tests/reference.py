@@ -1,4 +1,5 @@
-"""Reference operators the tests hold the package against, formed explicitly."""
+"""Reference operators the tests hold the package against, formed explicitly,
+and the series solution of MP1."""
 
 import numpy as np
 import scipy.linalg
@@ -8,6 +9,34 @@ from scipy.sparse.linalg import splu
 from helmdd import linalg
 from helmdd.coarse import coarse_correct
 from helmdd.decomposition import box_indices
+
+
+class ResonantWavenumberError(ValueError):
+    """k^2 coincides with an eigenvalue of the Dirichlet Laplacian."""
+
+
+def analytical_mp1(k: float, point, truncation: int = 400):
+    """Truncated eigenfunction expansion of the MP1 solution.
+
+    u(x, y) = sum over m, l of
+        4 sin(m pi/2) sin(l pi/2) sin(m pi x) sin(l pi y) / ((m^2+l^2) pi^2 - k^2)
+
+    Only odd (m, l) contribute.  Boundary points return exactly 0.
+    """
+    x, y = point
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"point {point} outside the closed unit square")
+    if x in (0.0, 1.0) or y in (0.0, 1.0):
+        return 0.0
+    modes = np.arange(1, truncation + 1, 2, dtype=float)
+    # sin(m pi / 2) = +1, -1, +1, ... for m = 1, 3, 5, ...
+    signs = np.where((modes % 4) == 1, 1.0, -1.0)
+    denom = (modes[:, None] ** 2 + modes[None, :] ** 2) * np.pi**2 - k**2
+    if np.abs(denom).min() < 1e-12:
+        raise ResonantWavenumberError(f"k={k} is resonant within truncation {truncation}")
+    sx = signs * np.sin(modes * np.pi * x)
+    sy = signs * np.sin(modes * np.pi * y)
+    return 4.0 * float(sx @ (1.0 / denom) @ sy)
 
 
 def unknown_coords(grid):

@@ -223,8 +223,9 @@ def test_criterion_10_scaling_invariances():
     g = Grid(33, "dirichlet")
     prob = assemble(g, 10.0, "MP1")
     dec = extend_max(partition(g, 8))
-    cs = galerkin(build_hocs(g, 4), prob)
-    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0_factorization=None), prob)
+    space = build_hocs(g, 4)
+    cs = galerkin(space, prob)
+    scaled = galerkin(replace(space, p=(3.0 * space.p).tocsr()), prob)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(g.num_unknowns)
     worst = 0.0

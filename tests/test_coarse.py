@@ -189,11 +189,6 @@ class TestCoarseCorrect:
         out = coarse_correct(cs, np.zeros(g.num_unknowns))
         assert np.all(out == 0.0)
 
-    def test_requires_galerkin(self):
-        cs = build_focs(Grid(9, "dirichlet"), 2)
-        with pytest.raises(ValueError, match="galerkin"):
-            coarse_correct(cs, np.zeros(49))
-
     def test_coarse_residual_vanishes_after_correction(self):
         g = Grid(17, "dirichlet")
         prob = assemble(g, 5.0, "MP1")
@@ -246,8 +241,9 @@ def test_reference_correction_of_complex_vector_on_real_matrix(kind):
 def test_rescaled_p_gives_same_correction(structured):
     g = Grid(17, "dirichlet")
     prob = assemble(g, 5.0, "MP1")
-    cs = galerkin(build_hocs(g, 4), prob)
-    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0_factorization=None), prob)
+    space = build_hocs(g, 4)
+    cs = galerkin(space, prob)
+    scaled = galerkin(replace(space, p=(3.0 * space.p).tocsr()), prob)
     correct = coarse_correct if structured else (lambda cs, r: coarse_correct_lu(cs, prob.A, r))
     rng = np.random.default_rng(9)
     r = rng.standard_normal(g.num_unknowns)
@@ -286,7 +282,7 @@ def test_kronecker_path_matches_sparse_lu(cell, seed):
             galerkin(built, prob)
         return
     structured = galerkin(built, prob)
-    assert isinstance(structured.a0_factorization, linalg.KroneckerFactorization)
+    assert isinstance(structured.factorization, linalg.KroneckerFactorization)
     generic = r0(built) @ prob.A @ r0(built).T
     scale = abs(generic).max()
     assert abs(structured.a0 - generic).max() <= 1e-12 * scale

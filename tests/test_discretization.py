@@ -4,16 +4,9 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helmdd.discretization import (
-    Grid,
-    ResonantWavenumberError,
-    analytical_mp1,
-    assemble,
-    kronecker_sum,
-    regime,
-)
+from helmdd.discretization import Grid, assemble, kronecker_sum, regime
 from helmdd.linalg import factorize, solve
-from reference import unknown_coords
+from reference import ResonantWavenumberError, analytical_mp1, unknown_coords
 
 
 def mp2_dense_oracle(n, k):

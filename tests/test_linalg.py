@@ -173,8 +173,8 @@ def random_complex_pencil(size, seed):
     return T + T.T, B @ B.T + size * np.eye(size)
 
 
-def table1_coarse_space(k, kind):
-    """The galerkin-factored coarse space of table 1's MP2 cell at k (n = 4k + 1, H = 4h)."""
+def table1_coarse_level(k, kind):
+    """The coarse level of table 1's MP2 cell at k (n = 4k + 1, H = 4h)."""
     prob = assemble(Grid(4 * k + 1, "sommerfeld"), float(k), "MP2")
     return galerkin((build_focs if kind == "FOCS" else build_hocs)(prob.grid, 4), prob)
 
@@ -185,8 +185,8 @@ def complex_pencils():
         yield pytest.param(*random_complex_pencil(size, seed=size), id=f"random-{size}")
     for k in (20, 40, 100):
         for kind in ("FOCS", "HOCS"):
-            cs = table1_coarse_space(k, kind)
-            T0, W0 = _coarse_factors(cs, cs.problem)
+            cs = table1_coarse_level(k, kind)
+            T0, W0 = _coarse_factors(cs.p, cs.problem)
             yield pytest.param(T0, W0, id=f"coarse-{kind}-k{k}")
         grid = Grid(4 * k + 1, "sommerfeld")
         _, blocks = interval_classes(extend_max(partition(grid, k)), assemble(grid, float(k), "MP2"))
@@ -214,12 +214,12 @@ def test_complex_eigenbasis_matches_generalized_eig(T, W):
 def test_coarse_solve_is_backward_stable(k, kind):
     """The coarse KroneckerFactorization.solve of table 1's MP2 cells has a
     normwise backward error of at most 1e-14 against the assembled A_0."""
-    cs = table1_coarse_space(k, kind)
+    cs = table1_coarse_level(k, kind)
     A0 = cs.a0
     m = cs.p.shape[0]
     rng = np.random.default_rng(k)
     B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    x, b = cs.a0_factorization.solve(B).ravel(), B.ravel()
+    x, b = cs.factorization.solve(B).ravel(), B.ravel()
     a_norm = abs(A0).sum(axis=1).max()
     eta = np.abs(A0 @ x - b).max() / (a_norm * np.abs(x).max() + np.abs(b).max())
     assert eta <= 1e-14
@@ -234,7 +234,7 @@ def test_real_eigenbasis_is_scipy_eigh_byte_for_byte(name):
         grid = Grid(161, "dirichlet")
         prob = assemble(grid, 40.0, "MP1")
         if name == "MP1-coarse":
-            T, W = _coarse_factors(build_hocs(grid, 4), prob)
+            T, W = _coarse_factors(build_hocs(grid, 4).p, prob)
         else:
             (T, W), *_ = interval_classes(extend_max(partition(grid, 40)), prob)[1]
     basis = eigenbasis(T, W)

@@ -174,10 +174,9 @@ def test_coarse_deflation_annihilates_coarse_residual():
 
 @pytest.mark.parametrize("kind", ["AS2", "SAS2", "SHS2"])
 def test_rescaling_coarse_operator_changes_nothing(kind):
-    from dataclasses import replace
-
     prob, _, cs, local_solves = make_instance(13, 5.0, "MP2", 3, "HOCS", 4)
-    scaled = galerkin(replace(cs, p=(3.0 * cs.p).tocsr(), a0_factorization=None), prob)
+    space = build_hocs(prob.grid, 4)
+    scaled = galerkin(replace(space, p=(3.0 * space.p).tocsr()), prob)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(prob.A.shape[0]) + 1j * rng.standard_normal(prob.A.shape[0])
     a = SchwarzPreconditioner(kind, cs, local_solves)(x)
@@ -380,7 +379,7 @@ def test_kronecker_solve_is_bit_identical_to_per_member_products(n, k, problem, 
         classes = LocalSolves(dec, prob).classes
     rng = np.random.default_rng(n)
     members = [(stop - start) // F.d.size for start, stop, F in classes]
-    for F, m in zip([F for *_, F in classes] + [cs.a0_factorization], members + [1]):
+    for F, m in zip([F for *_, F in classes] + [cs.factorization], members + [1]):
         size = F.d.size
         stacks = [np.eye(size).reshape(size, *F.d.shape)]
         stacks += [random_vector(rng, m * size, dtype).reshape(m, *F.d.shape) for dtype in (float, complex)]
@@ -580,9 +579,29 @@ def test_dimension_mismatch_rejected():
 
 
 def test_unfactorized_coarse_space_rejected():
+    """A space that galerkin has not factored is no coarse level."""
     _, dec, _, local_solves = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
-    with pytest.raises(ValueError, match="galerkin"):
-        SchwarzPreconditioner("AS2", build_focs(dec.grid, 4), local_solves)
+    for ratio in (2, 4):
+        with pytest.raises(TypeError, match=r"galerkin\(\)"):
+            SchwarzPreconditioner("AS2", build_focs(dec.grid, ratio), local_solves)
+
+
+def test_replaced_space_is_factored_anew():
+    """A coarse level cannot be changed with dataclasses.replace, and a space
+    rescaled with it is a new space that galerkin factors anew: its level
+    gives the same AS2 apply.  A level that kept the factorization of the
+    unscaled P changed this apply by 39 times its norm."""
+    prob, _, level, local_solves = make_instance(17, 5.0, "MP1", 4, "HOCS", 4)
+    space = build_hocs(prob.grid, 4)
+    with pytest.raises(TypeError):
+        replace(level, p=(3.0 * space.p).tocsr())
+    scaled = galerkin(replace(space, p=(3.0 * space.p).tocsr()), prob)
+    assert scaled.factorization is not level.factorization
+    assert np.array_equal(scaled.p.toarray(), 3.0 * level.p.toarray())
+    x = np.random.default_rng(0).standard_normal(prob.A.shape[0])
+    a = SchwarzPreconditioner("AS2", level, local_solves)(x)
+    b = SchwarzPreconditioner("AS2", scaled, local_solves)(x)
+    assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
 
 
 def test_coarse_space_from_another_grid_rejected():
@@ -606,9 +625,10 @@ def test_coarse_space_factored_for_another_problem_rejected():
     grid = Grid(81, "sommerfeld")
     prob20, prob40 = assemble(grid, 20.0, "MP2"), assemble(grid, 40.0, "MP2")
     local_solves = LocalSolves(extend_max(partition(grid, 20)), prob40)
-    for cs in (galerkin(build_hocs(grid, 4), prob20), build_focs(grid, 4)):
-        with pytest.raises(ValueError, match="galerkin"):
-            SchwarzPreconditioner("SHS2", cs, local_solves)
+    with pytest.raises(ValueError, match="galerkin"):
+        SchwarzPreconditioner("SHS2", galerkin(build_hocs(grid, 4), prob20), local_solves)
+    with pytest.raises(TypeError, match="galerkin"):
+        SchwarzPreconditioner("SHS2", build_focs(grid, 4), local_solves)
     M = SchwarzPreconditioner("SHS2", galerkin(build_hocs(grid, 4), prob40), local_solves)
     report = gmres(prob40.A, M, prob40.f, GmresConfig(side="left"))
     assert report.converged and report.iterations == 46
