@@ -7,8 +7,8 @@ and near 1 GB of memory at table 1's k = 200 cell), writes each table's CSV
 without its timing columns to DIR/table<N>.csv, and checks every count
 against the golden files in tests/golden/ by the rule below.  It prints one
 line per count the rule rejects and exits 1 if there is one.  `diff -r DIR
-tests/golden` then tells whether the counts are the golden ones bit for bit;
-the golden files were written by this command.  tests/test_golden.py runs
+tests/golden` then tells whether the counts are the golden ones bit for bit,
+so the command also reproduces the golden files.  tests/test_golden.py runs
 tables 3 and 4 in full and tables 1 and 2 to k = 60 by the same rule.
 
 The rule is harness's: a count of FOCS on MP1, or of a cell with

@@ -4,9 +4,8 @@ The table criteria run the built-in benchmark sweeps (left-preconditioned
 stopping, the convention the nominal counts were recorded under),
 restricted to the wavenumbers each criterion names; criteria 4 and 5 read
 the full runs of tables 3 and 4 that they share with tests/test_golden.py
-(the table_rows fixture).  Iteration-count
-tolerances are fixed here and nowhere else.  Run with
-`pytest tests/test_acceptance.py -v -s`.
+(the table_rows fixture).  Iteration-count tolerances are fixed here and
+nowhere else.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import time
