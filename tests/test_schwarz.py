@@ -581,9 +581,16 @@ def test_dimension_mismatch_rejected():
 def test_unfactorized_coarse_space_rejected():
     """A space that galerkin has not factored is no coarse level."""
     _, dec, _, local_solves = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
-    for ratio in (2, 4):
-        with pytest.raises(TypeError, match=r"galerkin\(\)"):
-            SchwarzPreconditioner("AS2", build_focs(dec.grid, ratio), local_solves)
+    with pytest.raises(TypeError, match=r"galerkin\(\)"):
+        SchwarzPreconditioner("AS2", build_focs(dec.grid, 4), local_solves)
+
+
+def test_requires_galerkin():
+    """The preconditioner, not coarse_correct, turns away an unfactored space."""
+    _, _, _, local_solves = make_instance(9, 2.0, "MP1", 2, "FOCS", 4)
+    cs = build_focs(Grid(9, "dirichlet"), 2)
+    with pytest.raises(TypeError, match="galerkin"):
+        SchwarzPreconditioner("AS2", cs, local_solves)
 
 
 def test_replaced_space_is_factored_anew():
