@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-PROBLEMS = ("MP1", "MP2")
+# each model problem and the boundary condition its grid carries
+PROBLEMS = {"MP1": "dirichlet", "MP2": "sommerfeld"}
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class Grid:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need n >= 3 grid nodes per dimension, got {self.n}")
-        if self.bc not in ("dirichlet", "sommerfeld"):
+        if self.bc not in PROBLEMS.values():
             raise ValueError(f"unknown boundary condition {self.bc!r}")
 
     @property
@@ -148,12 +149,11 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     entries dropped, indices sorted.
     """
     if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem {problem!r}, expected one of {PROBLEMS}")
+        raise ValueError(f"unknown problem {problem!r}, expected one of {tuple(PROBLEMS)}")
     if k < 0:
         raise ValueError(f"wavenumber must be nonnegative, got {k}")
-    expected_bc = "dirichlet" if problem == "MP1" else "sommerfeld"
-    if grid.bc != expected_bc:
-        raise ValueError(f"{problem} requires a {expected_bc} grid, got {grid.bc!r}")
+    if grid.bc != PROBLEMS[problem]:
+        raise ValueError(f"{problem} requires a {PROBLEMS[problem]} grid, got {grid.bc!r}")
     n, h, m = grid.n, grid.h, grid.unknowns_per_dim
     if problem == "MP1" and n % 2 == 0:
         raise ValueError("MP1 needs odd n so the source at (1/2, 1/2) is a grid node")

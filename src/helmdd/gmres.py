@@ -68,8 +68,8 @@ class SolveReport:
     converged: bool
     residual_history: np.ndarray
     final_residual: float
-    breakdown: bool = False
-    x: np.ndarray | None = None
+    breakdown: bool
+    x: np.ndarray
 
 
 def _as_operator(op):

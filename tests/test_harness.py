@@ -12,7 +12,6 @@ from helmdd.harness import (
     ExperimentConfig,
     TableRow,
     builtin_table,
-    config_from_dict,
     emit_csv,
     parse_config,
     run_experiment,
@@ -61,6 +60,15 @@ class TestParseConfig:
         assert cfg.coarse_ratio == 4
         assert cfg.gmres.side == "right"
         assert cfg == ExperimentConfig(problem="MP2", k_list=(5,), n_list=(9,))
+        # one number rule for every key: integer-valued numbers read as ints,
+        # and words in lower case
+        path.write_text("problem = MP2\nk = 100\nn = 401\noverlap = max\nprecond_side = left\n")
+        plain = parse_config(path)
+        for k in ("1e2", "100.0"):
+            path.write_text(f"problem = MP2\nk = {k}\nn = 401\noverlap = MAX\nprecond_side = LEFT\n")
+            cfg = parse_config(path)
+            assert cfg == plain and type(cfg.k_list[0]) is int
+            assert cfg.overlap == "max" and cfg.gmres.side == "left"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -98,11 +106,12 @@ class TestParseConfig:
             {"precond_side": "top"},
         ],
     )
-    def test_invalid_values_rejected(self, overrides):
-        base = {"problem": "MP1", "k": "2", "n": "9"}
-        base.update(overrides)
+    def test_invalid_values_rejected(self, overrides, tmp_path):
+        base = {"problem": "MP1", "k": "2", "n": "9", **overrides}
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{name} = {text}\n" for name, text in base.items()))
         with pytest.raises(ConfigError):
-            config_from_dict(base)
+            parse_config(path)
 
     @pytest.mark.parametrize(
         "key,value",
@@ -129,11 +138,12 @@ class TestParseConfig:
             ("preconditioners", ","),
         ],
     )
-    def test_malformed_numbers_name_their_key(self, key, value):
-        base = {"problem": "MP1", "k": "2", "n": "9"}
-        base[key] = value
+    def test_malformed_numbers_name_their_key(self, key, value, tmp_path):
+        base = {"problem": "MP1", "k": "2", "n": "9", key: value}
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{name} = {text}\n" for name, text in base.items()))
         with pytest.raises(ConfigError, match=rf"\b{key} must"):
-            config_from_dict(base)
+            parse_config(path)
 
 
 class TestSweepCells:

@@ -245,6 +245,19 @@ def test_readme_command_line_matches_argparse(capsys):
         assert listed == accepted, command
 
 
+def test_readme_config_block_lists_every_key(tmp_path):
+    """The README's "Config file format" block parses, and its keys are the
+    keys parse_config reads, no more and no fewer."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config file format", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    helmdd.parse_config(path)
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+    assert keys == set(helmdd.harness.CONFIG_KEYS)
+
+
 def test_readme_library_example_runs(capsys):
     """The README's "Library use" block runs as printed and prints its stated result."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
