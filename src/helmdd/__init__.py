@@ -5,7 +5,6 @@ reproduces the wavenumber-robustness iteration-count tables."""
 from .coarse import CoarseSpace, build_focs, build_hocs, coarse_correct, galerkin
 from .decomposition import (
     Decomposition,
-    Partition,
     extend,
     extend_max,
     max_overlap_layers,
@@ -41,7 +40,6 @@ __all__ = [
     "Grid",
     "HelmholtzProblem",
     "LocalSolves",
-    "Partition",
     "RegimeReport",
     "SchwarzPreconditioner",
     "SingularMatrixError",

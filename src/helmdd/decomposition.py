@@ -1,20 +1,23 @@
 """Overlapping subdomain decomposition with partition-of-unity weights.
 
 The unit square is split into a p-by-p array of axis-aligned boxes of
-(n-1)/p cells each.  partition() fixes that layout; in it every unknown
-belongs to exactly one box (nodes on internal box edges go to the
-lower-indexed box).  extend() grows the boxes into overlapping subdomains:
+(n-1)/p cells each.  partition() returns the zero-overlap decomposition of
+that layout: every unknown belongs to exactly one box (nodes on internal box
+edges go to the lower-indexed box), with multiplicity 1.  extend() grows the
+boxes into overlapping subdomains:
 
-* overlap_layers = 0 keeps the disjoint owned sets,
+* overlap_layers = 0 keeps the disjoint owned sets (partition() itself),
 * overlap_layers = m >= 1 takes the closed node box of the subdomain's
   cell range and grows it by a further m-1 node layers in every direction,
   clipped to the unknown set.
 
-With this geometry the largest admissible extension under the rule that
-no node may belong to more than 4 subdomains is m = H_sub/(2h) layers,
-which is what max_overlap_layers() returns; extend() accepts more layers
-and does not check the bound.  The diagonal weights D_i are the inverse
-node multiplicities, so sum_i R_i^T D_i R_i = I holds exactly
+extend(), extend_max() and max_overlap_layers() read only the grid and p of
+the decomposition they are given, so every decomposition of one layout
+extends alike.  With this geometry the largest admissible extension under
+the rule that no node may belong to more than 4 subdomains is m = H_sub/(2h)
+layers, which is what max_overlap_layers() returns; extend() accepts more
+layers and does not check the bound.  The diagonal weights D_i are the
+inverse node multiplicities, so sum_i R_i^T D_i R_i = I holds exactly
 (multiplicities in max-overlap mode are 1, 2 or 4 and the weights are
 exact binary fractions).
 
@@ -40,18 +43,6 @@ from .discretization import Grid, HelmholtzProblem
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Nonoverlapping layout of the unknowns in p*p subdomain boxes."""
-
-    grid: Grid
-    p: int
-
-    @property
-    def cells_per_subdomain(self) -> int:
-        return (self.grid.n - 1) // self.p
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """Overlapping subdomains R_i and weights D_i, as p*p boxes of p 1D
     intervals (see the module docstring)."""
@@ -67,52 +58,53 @@ class Decomposition:
         return self.p * self.p
 
 
-def _intervals(grid: Grid, p: int, m: int):
-    """Ranges [lo, hi] of the p 1D boxes for m overlap layers, in unknown
-    coordinates and clipped to the unknowns; m = 0 gives the owned ranges,
-    internal edges going to the lower box."""
+def _decomposition(grid: Grid, p: int, m: int) -> Decomposition:
+    """The p*p boxes of grid for m overlap layers: their 1D ranges [lo, hi],
+    in unknown coordinates and clipped to the unknowns, and the node
+    multiplicities.  m = 0 gives the owned ranges, internal edges going to
+    the lower box."""
     c = (grid.n - 1) // p
     a = np.arange(p)
     if m == 0:
         lo, hi = a * c + (a > 0), (a + 1) * c
     else:
         lo, hi = a * c - (m - 1), (a + 1) * c + (m - 1)
-    first = grid.unknown_lo
-    return np.maximum(lo - first, 0), np.minimum(hi - first, grid.unknowns_per_dim - 1)
-
-
-def partition(grid: Grid, subdomains_per_dim: int) -> Partition:
-    """Disjoint p*p box partition of the unknowns."""
-    p = subdomains_per_dim
-    if p < 1:
-        raise ValueError(f"need at least one subdomain per dimension, got {p}")
-    if (grid.n - 1) % p != 0:
-        raise ValueError(f"{p} subdomains per dimension do not divide {grid.n - 1} cells")
-    return Partition(grid=grid, p=p)
-
-
-def max_overlap_layers(part: Partition) -> int:
-    """Largest overlap keeping every node in at most 4 subdomains."""
-    return part.cells_per_subdomain // 2
-
-
-def extend(part: Partition, overlap_layers: int) -> Decomposition:
-    """Grow the partition into overlapping subdomains with weights."""
-    m = overlap_layers
-    if m < 0:
-        raise ValueError(f"overlap layer count must be nonnegative, got {m}")
-    grid, p = part.grid, part.p
-    lo, hi = _intervals(grid, p, m)
-    j = np.arange(grid.unknowns_per_dim)
+    first, size = grid.unknown_lo, grid.unknowns_per_dim
+    lo, hi = np.maximum(lo - first, 0), np.minimum(hi - first, size - 1)
+    j = np.arange(size)
     count = ((lo[:, None] <= j) & (j <= hi[:, None])).sum(axis=0).astype(float)
     # products of integers of at most p: exact
     mult = np.outer(count, count).ravel()
     return Decomposition(grid=grid, p=p, lo=lo, hi=hi, multiplicity=mult)
 
 
-def extend_max(part: Partition) -> Decomposition:
+def partition(grid: Grid, subdomains_per_dim: int) -> Decomposition:
+    """Zero-overlap decomposition: the disjoint p*p box partition of the
+    unknowns, every multiplicity 1."""
+    p = subdomains_per_dim
+    if p < 1:
+        raise ValueError(f"need at least one subdomain per dimension, got {p}")
+    if (grid.n - 1) % p != 0:
+        raise ValueError(f"{p} subdomains per dimension do not divide {grid.n - 1} cells")
+    return _decomposition(grid, p, 0)
+
+
+def max_overlap_layers(decomp: Decomposition) -> int:
+    """Largest overlap keeping every node in at most 4 subdomains."""
+    return (decomp.grid.n - 1) // decomp.p // 2
+
+
+def extend(decomp: Decomposition, overlap_layers: int) -> Decomposition:
+    """Grow decomp's boxes into subdomains of overlap_layers layers, with weights."""
+    m = overlap_layers
+    if m < 0:
+        raise ValueError(f"overlap layer count must be nonnegative, got {m}")
+    return _decomposition(decomp.grid, decomp.p, m)
+
+
+def extend_max(decomp: Decomposition) -> Decomposition:
     """Maximum-overlap decomposition: every node lies in at most 4 subdomains."""
-    return extend(part, max_overlap_layers(part))
+    return extend(decomp, max_overlap_layers(decomp))
 
 
 def box_indices(decomp: Decomposition, ys, xs) -> np.ndarray:

@@ -23,6 +23,7 @@ The point source is represented by a load of 1/h^2 at the grid node at
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ class Grid:
     bc: str
 
     def __post_init__(self):
-        if self.n < 3:
+        # bool is an Integral subclass, and True is no node count
+        if isinstance(self.n, bool) or not (isinstance(self.n, numbers.Integral) and self.n >= 3):
             raise ValueError(f"need n >= 3 grid nodes per dimension, got {self.n}")
         if self.bc not in PROBLEMS.values():
             raise ValueError(f"unknown boundary condition {self.bc!r}")
@@ -113,7 +115,7 @@ class RegimeReport:
 
 
 def regime(k: float, h: float, H: float) -> RegimeReport:
-    if k <= 0 or h <= 0 or H <= 0:
+    if not (k > 0 and h > 0 and H > 0):  # also NaN
         raise ValueError("k, h, H must all be positive")
     return RegimeReport(kappa_h=k * h, kappa_H=k * H, pollution_metric=k**3 * h**2)
 
@@ -150,7 +152,7 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {tuple(PROBLEMS)}")
-    if k < 0:
+    if not k >= 0:  # also NaN
         raise ValueError(f"wavenumber must be nonnegative, got {k}")
     if grid.bc != PROBLEMS[problem]:
         raise ValueError(f"{problem} requires a {PROBLEMS[problem]} grid, got {grid.bc!r}")

@@ -52,10 +52,12 @@ class GmresConfig:
     side: str = "right"
 
     def __post_init__(self):
-        if not (isinstance(self.rtol, numbers.Real) and 0 < self.rtol < math.inf):
-            raise ValueError(f"rtol must be a finite positive number, got {self.rtol!r}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        # bool is an Integral subclass, and True is no tolerance or count
+        rtol, max_iter = self.rtol, self.max_iter
+        if isinstance(rtol, bool) or not (isinstance(rtol, numbers.Real) and 0 < rtol < math.inf):
+            raise ValueError(f"rtol must be a finite positive number, got {rtol!r}")
+        if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
         if self.side not in ("left", "right"):
             raise ValueError(f"preconditioning side must be 'left' or 'right', got {self.side!r}")
 
@@ -90,8 +92,8 @@ def gmres(A, M_inv, b: np.ndarray, cfg: GmresConfig = GmresConfig()) -> SolveRep
     apply_M = _as_operator(M_inv)
     b = np.asarray(b)
     bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        raise ValueError("right-hand side must be nonzero")
+    if not 0.0 < bnorm < math.inf:  # also NaN
+        raise ValueError("right-hand side must be nonzero and finite")
     n = b.shape[0]
     left = cfg.side == "left"
 

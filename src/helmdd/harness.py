@@ -66,8 +66,9 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(message)
 
+        # bool is an Integral subclass, and True is no k, n, ratio or overlap
         def integer(v, least):
-            return isinstance(v, numbers.Integral) and v >= least
+            return not isinstance(v, bool) and isinstance(v, numbers.Integral) and v >= least
 
         check(self.problem in PROBLEMS, f"problem must be one of {tuple(PROBLEMS)}, got {self.problem!r}")
         sweeps = ("paired", "product")
@@ -79,7 +80,7 @@ class ExperimentConfig:
             f"got {len(self.k_list)} and {len(self.n_list)}",
         )
         for k in self.k_list:
-            positive = isinstance(k, numbers.Real) and 0 < k < math.inf
+            positive = not isinstance(k, bool) and isinstance(k, numbers.Real) and 0 < k < math.inf
             check(positive, f"k must be a finite positive number, got {k!r}")
         for n in self.n_list:
             check(integer(n, 3), f"n must be an integer >= 3, got {n!r}")
@@ -246,8 +247,9 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
     t0 = time.perf_counter()
     grid = Grid(n=n, bc=PROBLEMS[cfg.problem])
     prob = assemble(grid, k, cfg.problem)
-    part = partition(grid, p)
-    decomp = extend_max(part) if cfg.overlap == "max" else extend(part, int(cfg.overlap))
+    # one name for both, so the zero-overlap decomposition is not held through the solves
+    decomp = partition(grid, p)
+    decomp = extend_max(decomp) if cfg.overlap == "max" else extend(decomp, int(cfg.overlap))
     # the order is free: on MP1 both galerkin and LocalSolves call scipy's eigh
     # (linalg.eigenbasis), LocalSolves just before the first solve, and a pause
     # there lowered no solve_s beyond the noise (CHANGES.md, the solve-path cuts)

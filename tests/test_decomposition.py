@@ -90,8 +90,21 @@ def test_box_layout_matches_reference(p, cells, bc, data):
     assert_matches_reference(extend(part, m), m)
 
 
+def assert_zero_overlap(dec, lo, hi):
+    """dec is the zero-overlap extension of its layout, byte for byte, with
+    the owned 1D ranges [lo, hi] and every multiplicity 1."""
+    ext = extend(dec, 0)
+    for name in ("lo", "hi", "multiplicity"):
+        got, want = getattr(dec, name), getattr(ext, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert np.array_equal(dec.lo, lo) and np.array_equal(dec.hi, hi)
+    assert np.all(dec.multiplicity == 1.0)
+
+
 class TestPartition:
     def test_disjoint_cover_interior(self):
+        # unknowns 0..6 are nodes 1..7; node 4 sits on the internal edge
+        assert_zero_overlap(partition(Grid(9, "dirichlet"), 2), [0, 4], [3, 6])
         dec = extend(partition(Grid(9, "dirichlet"), 2), 0)
         assert len(subdomains(dec)) == 4
         entries = np.concatenate(subdomains(dec))
@@ -113,6 +126,7 @@ class TestPartition:
 
     def test_internal_edges_go_to_lower_box(self):
         g = Grid(9, "sommerfeld")
+        assert_zero_overlap(partition(g, 2), [0, 5], [4, 8])
         sets = subdomains(extend(partition(g, 2), 0))
         # node (4, 4) sits on both internal edges; low-index box 0 owns it
         shared = g.unknown_index(4, 4)

@@ -36,6 +36,19 @@ def mp2_dense_oracle(n, k):
     return A
 
 
+@pytest.mark.parametrize(
+    "n,bc,match",
+    [(2, "dirichlet", "n >= 3"), (33.0, "dirichlet", "n >= 3"), (True, "dirichlet", "n >= 3"),
+     (33, "neumann", "boundary condition")],
+    ids=["n=2", "n=33.0", "n=True", "bc=neumann"],
+)
+def test_grid_rejects_bad_layout(n, bc, match):
+    """n is an integer node count of at least 3 (not a float, not a bool), and
+    bc one of the problems' boundary conditions."""
+    with pytest.raises(ValueError, match=match):
+        Grid(n, bc)
+
+
 class TestAssembleMP1:
     def test_single_unknown_laplace(self):
         prob = assemble(Grid(3, "dirichlet"), 0.0, "MP1")
@@ -66,6 +79,8 @@ class TestAssembleMP1:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             assemble(Grid(5, "dirichlet"), -1.0, "MP1")
+        with pytest.raises(ValueError, match="nonnegative"):
+            assemble(Grid(9, "dirichlet"), np.nan, "MP1")
 
     def test_bc_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +228,8 @@ class TestRegime:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             regime(0.0, 0.1, 0.2)
+        with pytest.raises(ValueError, match="positive"):
+            regime(np.nan, 0.1, 0.2)
 
 
 def test_manufactured_solution_second_order():

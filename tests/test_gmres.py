@@ -69,6 +69,9 @@ class TestConfig:
             {"rtol": float("inf")},
             {"max_iter": 0},
             {"side": "middle"},
+            {"max_iter": True},  # a bool is not a count
+            {"rtol": True},
+            {"max_iter": 10.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -229,9 +232,11 @@ def test_complex_system():
     assert np.linalg.norm(b - A @ report.x) <= 1e-9 * np.linalg.norm(b)
 
 
-def test_zero_rhs_rejected():
+@pytest.mark.parametrize("entry", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+def test_zero_rhs_rejected(entry):
+    """A zero or non-finite b is rejected before any iteration."""
     with pytest.raises(ValueError, match="nonzero"):
-        gmres(np.eye(3), None, np.zeros(3))
+        gmres(np.eye(3), None, np.array([entry, 0.0, 0.0]))
 
 
 def test_true_residual_reported():

@@ -368,6 +368,8 @@ def test_run_experiment_rejects_empty_subdomains_before_any_cell(monkeypatch):
         {"sweep": "zip"},
         {"coarse_ratio": 0},
         {"overlap": "maximum"},
+        {"k_list": (True, 3)},  # a bool is not a number
+        {"overlap": True},
     ],
     ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
 )
