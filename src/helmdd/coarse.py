@@ -23,7 +23,9 @@ galerkin forms the coarse level of a space for a HelmholtzProblem.  The
 problem's A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble) and
 R_0 = P(x)P make A_0 = R_0 A R_0^T the same Kronecker sum of T_0 = P T P^T
 and W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker
-with the one eigenbasis of (T_0, W_0) in both dimensions).  The CoarseLevel
+with the one eigenbasis of (T_0, W_0) in both dimensions).  A
+linalg.Eigenbases passed to galerkin computes that eigenbasis once per
+distinct pencil: on MP1, once for every k of a space.  The CoarseLevel
 it returns holds P, that factorization and the problem, none of them
 optional, and is no dataclass: dataclasses.replace cannot pair a new P with
 the old factorization.  A space changed with replace is a new space, and a
@@ -123,13 +125,15 @@ def _coarse_factors(p: sp.csr_matrix, problem: HelmholtzProblem) -> tuple:
     return (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
 
 
-def galerkin(space: CoarseSpace, problem: HelmholtzProblem) -> CoarseLevel:
-    """The coarse level of space for problem: A_0 = R_0 A R_0^T factored in its Kronecker eigenbasis."""
+def galerkin(space: CoarseSpace, problem: HelmholtzProblem, bases: linalg.Eigenbases | None = None) -> CoarseLevel:
+    """The coarse level of space for problem: A_0 = R_0 A R_0^T factored in
+    its Kronecker eigenbasis, which bases, when given, keeps for the next
+    problem with a byte-equal (T_0, W_0)."""
     if not isinstance(problem, HelmholtzProblem):
         raise TypeError(f"galerkin takes a HelmholtzProblem, got {type(problem).__name__}")
     if problem.grid != space.grid:
         raise ValueError(f"coarse space is built on {space.grid}, problem on {problem.grid}")
-    basis = linalg.eigenbasis(*_coarse_factors(space.p, problem))
+    basis = (linalg.eigenbasis if bases is None else bases)(*_coarse_factors(space.p, problem))
     return CoarseLevel(space.p, linalg.factorize_kronecker(basis, basis, problem.k), problem)
 
 

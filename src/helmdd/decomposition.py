@@ -27,9 +27,9 @@ is the box of unknown rows lo[ay]..hi[ay] and columns lo[ax]..hi[ax], and
 the diagonal of D_i is 1/multiplicity on that box.  A node's multiplicity is
 the product of the numbers of intervals holding its row and its column.
 No array of one entry per subdomain entry is stored: box_indices() forms the
-index sets of boxes on demand, interval_classes() groups the intervals by
-the restrictions of the 1D factors T and W to them, and no other module
-reads lo and hi.
+index sets of boxes on demand, interval_pencils() restricts the 1D factors
+T and W to intervals, interval_classes() groups the intervals by those
+restrictions, and no other module reads lo and hi.
 """
 
 from __future__ import annotations
@@ -151,11 +151,16 @@ def interval_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     Distinct pairs can still give equal blocks (an MP1 box of width 1 and
     its transpose).
     """
-    lo, hi = decomp.lo, decomp.hi
-    if (hi < lo).any():
+    if (decomp.hi < decomp.lo).any():
         raise ValueError("an empty subdomain has no block")
     content: dict = {}  # bytes of T and W on an interval -> (its class, T and W on it)
     classes = []
-    for t, w in zip(_restrictions(problem.T, lo, hi), _restrictions(problem.W, lo, hi)):
+    for t, w in interval_pencils(decomp, problem, np.arange(decomp.p)):
         classes.append(content.setdefault(t.tobytes() + w.tobytes(), (len(content), (t, w)))[0])
     return np.array(classes), [block for _, block in content.values()]
+
+
+def interval_pencils(decomp: Decomposition, problem: HelmholtzProblem, intervals) -> list:
+    """The dense (T, W) of problem's 1D factors restricted to each of the given intervals."""
+    lo, hi = decomp.lo[intervals], decomp.hi[intervals]
+    return list(zip(_restrictions(problem.T, lo, hi), _restrictions(problem.W, lo, hi)))

@@ -115,8 +115,8 @@ class RegimeReport:
 
 
 def regime(k: float, h: float, H: float) -> RegimeReport:
-    if not (k > 0 and h > 0 and H > 0):  # also NaN
-        raise ValueError("k, h, H must all be positive")
+    if not all(0 < v < np.inf for v in (k, h, H)):  # also NaN
+        raise ValueError("k, h, H must all be finite and positive")
     return RegimeReport(kappa_h=k * h, kappa_H=k * H, pollution_metric=k**3 * h**2)
 
 
@@ -152,8 +152,8 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}, expected one of {tuple(PROBLEMS)}")
-    if not k >= 0:  # also NaN
-        raise ValueError(f"wavenumber must be nonnegative, got {k}")
+    if not 0 <= k < np.inf:  # also NaN
+        raise ValueError(f"wavenumber must be finite and nonnegative, got {k}")
     if grid.bc != PROBLEMS[problem]:
         raise ValueError(f"{problem} requires a {PROBLEMS[problem]} grid, got {grid.bc!r}")
     n, h, m = grid.n, grid.h, grid.unknowns_per_dim

@@ -1,11 +1,17 @@
 """Experiment runner: sweeps (k, n, coarse kind, preconditioner) cells,
 collects GMRES iteration counts into table rows, and writes CSV reports.
 
-A sweep cell builds the problem once, builds its local solves once with
-schwarz.LocalSolves (the 1D intervals classed by the restrictions of the 1D
-factors T and W to them, one eigenbasis per interval class, and one block
-per pair of classes), and shares them across all preconditioner kinds; the
-Galerkin coarse problem is built once per coarse kind.  Nonconverged solves
+The cells of one n run one after another and share that layout's
+k-independent setup (_Layout): the grid, the decomposition, the coarse
+spaces, the local solves' LocalLayout (the 1D intervals classed by the
+restrictions of the 1D factors T and W to them, and the gather), and the
+eigenbasis of every pencil byte-equal to one an earlier cell met (all of
+MP1's, MP2's on the interior intervals).  The first cell of a layout builds
+it, inside its own setup time; the layout is dropped before the next n, and
+the rows come back in sweep order.  A cell assembles its problem, factors
+the Galerkin coarse problem once per coarse kind and builds its local
+solves once with schwarz.LocalSolves (one block per pair of interval
+classes), shared by every preconditioner kind.  Nonconverged solves
 are reported with the literal 'x' in place of the iteration count.  Reruns
 of the same configuration at a fixed BLAS thread count produce identical
 counts; only the timing columns vary.  Cells whose residual stagnates near
@@ -26,12 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decomposition
+from . import decomposition, linalg
 from .coarse import COARSE_KINDS, build_focs, build_hocs, galerkin
-from .decomposition import extend, extend_max, partition
+from .decomposition import Decomposition, extend, extend_max, partition
 from .discretization import PROBLEMS, Grid, RegimeReport, assemble, regime
 from .gmres import GmresConfig, gmres
-from .schwarz import PRECONDITIONER_KINDS, LocalSolves, SchwarzPreconditioner
+from .schwarz import PRECONDITIONER_KINDS, LocalLayout, LocalSolves, SchwarzPreconditioner
 
 # not called here: perfbench/spans.targets(full=True) wraps harness.local_matrix by name
 local_matrix = decomposition.local_matrix
@@ -243,21 +249,40 @@ def validate_config(cfg: ExperimentConfig):
     return results
 
 
-def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> TableRow:
+@dataclass
+class _Layout:
+    """The k-independent setup that the cells of one n share: the
+    decomposition, the coarse spaces, the local solves' LocalLayout and the
+    eigenbases of the coarse pencils.  The first cell of the layout fills it
+    in, inside its own setup time."""
+
+    decomp: Decomposition | None = None
+    spaces: dict = field(default_factory=dict)
+    coarse_bases: linalg.Eigenbases = field(default_factory=linalg.Eigenbases)
+    local: LocalLayout | None = None
+
+
+def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport, layout: _Layout | None = None) -> TableRow:
     t0 = time.perf_counter()
-    grid = Grid(n=n, bc=PROBLEMS[cfg.problem])
+    if layout is None:
+        layout = _Layout()
+    if layout.decomp is None:
+        grid = Grid(n=n, bc=PROBLEMS[cfg.problem])
+        # one name for both, so the zero-overlap decomposition is not held through the solves
+        decomp = partition(grid, p)
+        layout.decomp = extend_max(decomp) if cfg.overlap == "max" else extend(decomp, int(cfg.overlap))
+        builders = {"FOCS": build_focs, "HOCS": build_hocs}
+        layout.spaces = {ck: builders[ck](grid, cfg.coarse_ratio) for ck in cfg.coarse_kinds}
+    decomp = layout.decomp
+    grid = decomp.grid
     prob = assemble(grid, k, cfg.problem)
-    # one name for both, so the zero-overlap decomposition is not held through the solves
-    decomp = partition(grid, p)
-    decomp = extend_max(decomp) if cfg.overlap == "max" else extend(decomp, int(cfg.overlap))
-    # the order is free: on MP1 both galerkin and LocalSolves call scipy's eigh
-    # (linalg.eigenbasis), LocalSolves just before the first solve, and a pause
-    # there lowered no solve_s beyond the noise (CHANGES.md, the solve-path cuts)
-    builders = {"FOCS": build_focs, "HOCS": build_hocs}
-    levels = {
-        ck: galerkin(builders[ck](grid, cfg.coarse_ratio), prob) for ck in cfg.coarse_kinds
-    }
-    local_solves = LocalSolves(decomp, prob)
+    # the order is free: on MP1 only a layout's first cell calls scipy's eigh
+    # (linalg.eigenbasis), in both galerkin and LocalSolves, and a pause between
+    # LocalSolves and the first solve lowered no solve_s beyond the noise
+    # (CHANGES.md, the solve-path cuts); later cells take every eigenbasis from the layout
+    levels = {ck: galerkin(space, prob, layout.coarse_bases) for ck, space in layout.spaces.items()}
+    local_solves = LocalSolves(decomp, prob, layout.local)
+    layout.local = local_solves.layout
     setup_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -287,8 +312,9 @@ def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport) -> Ta
 def run_experiment(cfg: ExperimentConfig, warn=None) -> list:
     """Run every sweep cell; returns rows in sweep order.
 
-    Regime violations are reported through warn (default: stderr) and never
-    stop the run.
+    The cells of one n run one after another and share one _Layout, so a
+    layout is built once and only one is alive at a time.  Regime violations
+    are reported through warn (default: stderr) and never stop the run.
     """
     if warn is None:
         warn = lambda msg: print(msg, file=sys.stderr)
@@ -296,7 +322,13 @@ def run_experiment(cfg: ExperimentConfig, warn=None) -> list:
     for _, _, _, _, warnings in validated:
         for w in warnings:
             warn(f"warning: {w}")
-    return [_run_cell(cfg, k, n, p, rep) for k, n, p, rep, _ in validated]
+    rows = [None] * len(validated)
+    for n in dict.fromkeys(n for _, n, *_ in validated):  # in the order of first appearance
+        layout = _Layout()
+        for i, (k, cell_n, p, rep, _) in enumerate(validated):
+            if cell_n == n:
+                rows[i] = _run_cell(cfg, k, n, p, rep, layout)
+    return rows
 
 
 def _fmt(value) -> str:

@@ -9,8 +9,8 @@ The coarse problem is the case of two equal pencils, a local block the case
 of the pencils of its box's two 1D intervals; schwarz.LocalSolves keeps a
 small block as that product, formed densely.
 
-The eigenpairs of a real pencil (MP1: W = I) come from scipy's eigh, a
-cell's one scipy call; those of a complex one (MP2: T complex symmetric, W
+The eigenpairs of a real pencil (MP1: W = I) come from scipy's eigh, the
+solver's one scipy call; those of a complex one (MP2: T complex symmetric, W
 real positive definite) from numpy's LAPACK, as the standard eigenproblem of
 C = L^{-1} T L^{-T} with W = L L^T, Q = L^{-T} Z for C's eigenvectors Z;
 cond(Q) of both from numpy's singular values.  numpy's BLAS runs every
@@ -20,6 +20,12 @@ a threaded call, and numpy BLAS work started in that window ran about 2x
 slower (CHANGES.md, the MENDED on the two pools).  An MP2 cell therefore
 wakes no scipy pool.  MP1 keeps scipy's eigh: numpy's eig of its pencils
 moved 12 stagnating counts of tables 2-4, numpy's eigh 8 (ROADMAP).
+
+k enters only D, so a pencil, and with it its eigenbasis, is the same for
+every k whenever its T and W are: all of MP1's, and MP2's away from the
+Sommerfeld boundary.  Eigenbases keeps the eigenbases it has computed by the
+bytes of their pencils; the cells of one sweep layout share one for the
+coarse pencils and one for the interval pencils.
 
 The solve multiplies by Q and V, so its normwise backward error grows with
 cond(Q_y) cond(Q_x), where LU with partial pivoting's does not.  MP1 has
@@ -142,6 +148,22 @@ def eigenbasis(T, W) -> Eigenbasis:
         raise SingularMatrixError(f"eigenvector matrix has condition number {cond:.3e}")
     # not Q^T: eig's vectors of MP2's near-equal boundary-mode eigenvalues miss Q^T W Q = I
     return Eigenbasis(lam=lam, q=q, v=np.linalg.inv(W @ q))
+
+
+class Eigenbases:
+    """The eigenbases of the pencils seen so far: calling it with (T, W)
+    returns the eigenbasis of an earlier byte-equal pencil, or else computes
+    it with eigenbasis and keeps it.  Equal bytes give equal eigenpairs, so
+    a reused eigenbasis is the one eigenbasis would return."""
+
+    def __init__(self):
+        self._known = {}
+
+    def __call__(self, T: np.ndarray, W: np.ndarray) -> Eigenbasis:
+        key = (T.shape, T.dtype.str, W.dtype.str, T.tobytes(), W.tobytes())
+        if key not in self._known:
+            self._known[key] = eigenbasis(T, W)
+        return self._known[key]
 
 
 @dataclass(frozen=True)

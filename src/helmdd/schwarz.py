@@ -20,11 +20,14 @@ the 1D factors of A = T(x)W + W(x)T - k^2 W(x)W restricted to Y and to X.
 decomposition.interval_classes groups the intervals by those restrictions.
 Up to the maximum overlap there are at most 3 classes (first, interior,
 last), so at most 9 distinct blocks remain, however many subdomains there
-are.  LocalSolves computes one linalg.eigenbasis per interval class; its
+are.  LocalSolves takes one linalg.eigenbasis per interval class; its
 block classes are the (Y class, X class) pairs, in the order of their first
-subdomains, each factored by linalg.factorize_kronecker.  No local block is
-assembled and no sparse LU is formed; the tests hold both forms against
-SuperLU on the assembled blocks.  A class takes one of two forms:
+subdomains, each factored by linalg.factorize_kronecker.  What k does not
+change (the classes, the gather below and the eigenbases of the pencils
+without k) is a LocalLayout, which the LocalSolves of one grid's problems
+can share.  No local block is assembled and no sparse LU is formed; the
+tests hold both forms against SuperLU on the assembled blocks.  A class
+takes one of two forms:
 
 * A block of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns is kept as its dense
   inverse (Q_Y(x)Q_X) D^{-1} (V_Y(x)V_X).  The class solve is one matrix
@@ -50,8 +53,8 @@ The dense inverses take s_c^2 entries for a class of block size s_c; a
 factored class keeps its n_Y x n_X eigenvalue sums, and each interval class
 of n nodes 2 n^2 + n numbers.  The only copy of the subdomain indices is the
 gather, 8 bytes per subdomain entry (15.6 MB for MP2 at k = 200), formed
-class by class with decomposition.box_indices; the chunk buffers hold one
-member or fewer than 2 _CHUNK_ENTRIES entries.
+class by class with decomposition.box_indices and held by the LocalLayout;
+the chunk buffers hold one member or fewer than 2 _CHUNK_ENTRIES entries.
 
 CHANGES.md holds the measurements behind the two constants below: the
 dense/factored crossover medians in the entry that builds the local solves
@@ -67,7 +70,7 @@ import numpy as np
 
 from . import linalg
 from .coarse import CoarseLevel, coarse_correct
-from .decomposition import Decomposition, box_indices, interval_classes
+from .decomposition import Decomposition, box_indices, interval_classes, interval_pencils
 from .discretization import HelmholtzProblem
 
 PRECONDITIONER_KINDS = ("AS2", "SAS2", "SHS2")
@@ -90,43 +93,75 @@ DENSE_BLOCK_MAX_UNKNOWNS = 441
 _CHUNK_ENTRIES = 32768
 
 
+class LocalLayout:
+    """The part of LocalSolves that k does not change, for the problems of one grid.
+
+    Holds the interval classes of decomposition (classes[a] is interval a's
+    class, as decomposition.interval_classes numbers them) and the first
+    interval of each, the gather, the (start, stop, Y class, X class) of
+    each block class's stretch of it, and a linalg.Eigenbases for the
+    interval pencils.  The classes found for one problem hold for every
+    problem on the decomposition's grid: MP1's T and W do not depend on k,
+    and k sets only the diagonal of MP2's T at the two end nodes of a line,
+    to 1/h^2 - ik/h, a value no other diagonal entry takes, so two
+    intervals' restrictions are equal at every k or at none.
+    """
+
+    def __init__(self, decomposition: Decomposition, classes: np.ndarray):
+        members = [np.flatnonzero(classes == c) for c in range(classes.max() + 1)]
+        self.decomposition = decomposition
+        self.firsts = [m[0] for m in members]
+        self.bases = linalg.Eigenbases()
+        gather, self.stretches = [], []
+        start = 0
+        # the block classes are the (Y class, X class) pairs, in the order of their first subdomains
+        for cy, cx in itertools.product(range(len(members)), repeat=2):
+            gather.append(box_indices(decomposition, members[cy], members[cx]).ravel())
+            self.stretches.append((start, start + len(gather[-1]), cy, cx))
+            start += len(gather[-1])
+        self.gather = np.concatenate(gather)
+
+
 class LocalSolves:
     """The one-level term sum_i R_i^T [D_i] (R_i A R_i^T)^{-1} R_i, batched by block class.
 
-    Classes the 1D intervals of decomposition (decomposition.interval_classes),
-    computes one linalg.eigenbasis per interval class, and factors the block
-    of each (Y class, X class) pair in the eigenbases of its two classes.  A
-    class of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns keeps its dense
-    inverse, any other its KroneckerFactorization (see the module
-    docstring).  Raises linalg.SingularMatrixError on a resonant block.  One
-    object serves every preconditioner kind built on the same problem and
-    decomposition, and records both.
+    Builds on layout, a LocalLayout of decomposition made for another problem
+    on its grid, or, when none is given, classes the intervals of
+    decomposition for problem (decomposition.interval_classes) and makes its
+    own.  Takes the eigenbasis of each interval class's pencil from the
+    layout's Eigenbases, and factors the block of each (Y class, X class)
+    pair in the eigenbases of its two classes.  A class of at most
+    DENSE_BLOCK_MAX_UNKNOWNS unknowns keeps its dense inverse, any other its
+    KroneckerFactorization (see the module docstring).  Raises
+    linalg.SingularMatrixError on a resonant block.  One object serves every
+    preconditioner kind built on the same problem and decomposition, and
+    records both.
     """
 
-    def __init__(self, decomposition: Decomposition, problem: HelmholtzProblem):
+    def __init__(self, decomposition: Decomposition, problem: HelmholtzProblem, layout: LocalLayout | None = None):
         if problem.grid != decomposition.grid:
             raise ValueError(f"problem is assembled on {problem.grid}, decomposition built on {decomposition.grid}")
+        if layout is None:
+            classes, pencils = interval_classes(decomposition, problem)
+            layout = LocalLayout(decomposition, classes)
+        elif layout.decomposition is decomposition:
+            pencils = interval_pencils(decomposition, problem, layout.firsts)
+        else:
+            raise ValueError("layout was made for another decomposition")
         self.decomposition = decomposition
         self.problem = problem
-        classes, blocks = interval_classes(decomposition, problem)
-        bases = [linalg.eigenbasis(T, W) for T, W in blocks]
-        members = [np.flatnonzero(classes == c) for c in range(len(blocks))]
-        gather = []
+        self.layout = layout
+        self.gather = layout.gather
+        bases = [layout.bases(T, W) for T, W in pencils]
         self.classes = []  # (start, stop, solver) of each class's stretch of the gather
-        start = 0
-        # the block classes are the (Y class, X class) pairs, in the order of their first subdomains
-        for cy, cx in itertools.product(range(len(blocks)), repeat=2):
+        for start, stop, cy, cx in layout.stretches:
             F = linalg.factorize_kronecker(bases[cy], bases[cx], problem.k)
             size = F.d.size
             if size > DENSE_BLOCK_MAX_UNKNOWNS:
                 solver = F
             else:  # solved for the identity's columns: 3x less rounding than kron(Q_y, Q_x) @ ...
                 solver = F.solve(np.eye(size).reshape(size, *F.d.shape)).reshape(size, size).T
-            gather.append(box_indices(decomposition, members[cy], members[cx]).ravel())
-            stop = start + len(gather[-1])
             self.classes.append((start, stop, solver))
-            start = stop
-        self.gather = np.concatenate(gather)
         self._work = None  # chunk buffers: gathered entries, class products, factored-solve scratch
 
     def add_to(self, x: np.ndarray, out: np.ndarray, weighted: bool):

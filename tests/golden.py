@@ -4,8 +4,10 @@
 
 runs `helmdd tables 1..4` in full, to k = 200 (about two minutes on 2 cores,
 and near 1 GB of memory at table 1's k = 200 cell), writes each table's CSV
-without its timing columns to DIR/table<N>.csv, and checks every count
-against the golden files in tests/golden/ by the rule below.  It prints one
+without its timing columns to DIR/table<N>.csv, prints each table's wall
+time and the sums of its setup_seconds and solve_seconds columns, and
+checks every count against the golden files in tests/golden/ by the rule
+below.  It prints one
 line per count the rule rejects and exits 1 if there is one.  `diff -r DIR
 tests/golden` then tells whether the counts are the golden ones bit for bit,
 so the command also reproduces the golden files.  tests/test_golden.py runs
@@ -24,6 +26,7 @@ are 10 -> 9 and 22 -> 24 (10% and 9%), and the two crossings of a cap are
 
 import csv
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -98,10 +101,17 @@ def main(argv):
         print("usage: python tests/golden.py DIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
-    tables = {which: run_table(which) for which in TABLES}
-    for which, rows in tables.items():
+    tables = {}
+    for which in TABLES:
+        start = time.perf_counter()
+        rows = tables[which] = run_table(which)
+        wall = time.perf_counter() - start
         write_counts(rows, out / f"table{which}.csv")
-        print(f"table {which}: {len(rows)} rows written to {out / f'table{which}.csv'}")
+        print(
+            f"table {which}: {len(rows)} rows written to {out / f'table{which}.csv'};"
+            f" wall {wall:.3f} s, setup_seconds {sum(r.setup_seconds for r in rows):.3f} s,"
+            f" solve_seconds {sum(r.solve_seconds for r in rows):.3f} s"
+        )
     found = [line for which, rows in tables.items() for line in mismatches(which, rows)]
     for line in found:
         print(line)

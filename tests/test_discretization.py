@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helmdd.discretization import Grid, assemble, kronecker_sum, regime
+from helmdd.discretization import PROBLEMS, Grid, assemble, kronecker_sum, regime
 from helmdd.linalg import factorize, solve
 from reference import ResonantWavenumberError, analytical_mp1, unknown_coords
 
@@ -230,6 +230,19 @@ class TestRegime:
             regime(0.0, 0.1, 0.2)
         with pytest.raises(ValueError, match="positive"):
             regime(np.nan, 0.1, 0.2)
+
+    @pytest.mark.parametrize("args", [(np.inf, 0.1, 0.2), (1.0, np.inf, 0.2), (1.0, 0.1, np.inf)])
+    def test_rejects_infinite(self, args):
+        with pytest.raises(ValueError, match="finite and positive"):
+            regime(*args)
+
+
+@pytest.mark.parametrize("problem", ["MP1", "MP2"])
+def test_assemble_rejects_infinite_k(problem):
+    grid = Grid(9, PROBLEMS[problem])
+    for k in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            assemble(grid, k, problem)
 
 
 def test_manufactured_solution_second_order():

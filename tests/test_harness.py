@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from helmdd import cli, harness
+from helmdd import cli, harness, linalg
+from helmdd.decomposition import extend_max, interval_classes, partition
+from helmdd.discretization import PROBLEMS, Grid, assemble
 from helmdd.gmres import GmresConfig, gmres
 from helmdd.harness import (
     ConfigError,
@@ -309,6 +311,97 @@ def test_one_local_solves_serves_every_preconditioner_of_a_cell(monkeypatch):
     assert len(row.iterations) == len(preconditioners) == 6
     assert len(built) == 1
     assert all(M.local_solves is built[0] for M in preconditioners)
+
+
+SHARED_LAYOUT_SWEEPS = {
+    # table 4's ratio at two of its n, and table 1's MP2 layout at one n
+    "MP1": replace(builtin_table(4), k_list=(5, 10), n_list=(49, 65), coarse_kinds=("FOCS", "HOCS")),
+    "MP2": replace(builtin_table(1), k_list=(10, 20), n_list=(81,), sweep="product"),
+}
+
+
+@pytest.mark.parametrize("problem", SHARED_LAYOUT_SWEEPS)
+def test_shared_layouts_give_the_solves_of_fresh_cells(problem, monkeypatch):
+    """A product sweep whose cells share their layouts gives every solve's x
+    and residual history byte for byte as the same cells run one per
+    run_experiment call, each building its layout anew, and returns its
+    rows in sweep order."""
+    cfg = SHARED_LAYOUT_SWEEPS[problem]
+    shared, fresh = {}, {}
+    solves = shared
+
+    def recorded_gmres(A, M, b, gmres_cfg):
+        report = gmres(A, M, b, gmres_cfg)
+        prob = M.local_solves.problem
+        solves.setdefault((prob.k, prob.grid.n), []).append(
+            (report.x.tobytes(), report.residual_history.tobytes())
+        )
+        return report
+
+    monkeypatch.setattr(harness, "gmres", recorded_gmres)
+    rows = run_experiment(cfg, warn=lambda m: None)
+    assert [(row.k, row.n) for row in rows] == cfg.cells()
+    solves = fresh
+    for k, n in cfg.cells():
+        run_experiment(replace(cfg, k_list=(k,), n_list=(n,)), warn=lambda m: None)
+    per_cell = len(cfg.coarse_kinds) * len(cfg.preconditioners)
+    assert sorted(shared) == sorted(cfg.cells())
+    assert all(len(reports) == per_cell for reports in shared.values())
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("problem", SHARED_LAYOUT_SWEEPS)
+def test_a_layout_computes_each_eigenbasis_once(problem, monkeypatch):
+    """The cells of one layout call linalg.eigenbasis once per interval class
+    and coarse pencil that no earlier cell has met: on MP1 the first cell
+    makes every call and the second none; on MP2 the second cell computes
+    only the pencils that hold k, the first and last intervals' and the
+    coarse ones."""
+    cfg = replace(SHARED_LAYOUT_SWEEPS[problem], n_list=SHARED_LAYOUT_SWEEPS[problem].n_list[:1])
+    calls = []
+    eigenbasis = linalg.eigenbasis
+
+    def counted_eigenbasis(T, W):
+        calls.append(T.shape)
+        return eigenbasis(T, W)
+
+    monkeypatch.setattr(linalg, "eigenbasis", counted_eigenbasis)
+    cells = []
+    run_cell = harness._run_cell
+
+    def counted_cell(*args):
+        cells.append(len(calls))
+        return run_cell(*args)
+
+    monkeypatch.setattr(harness, "_run_cell", counted_cell)
+    run_experiment(cfg, warn=lambda m: None)
+    (k, n, p, _, _), _ = validate_config(cfg)
+    grid = Grid(n, PROBLEMS[problem])
+    _, blocks = interval_classes(extend_max(partition(grid, p)), assemble(grid, k, problem))
+    # MP1's end intervals form one class, MP2's first and last one each
+    assert len(blocks) == (2 if problem == "MP1" else 3)
+    first, second = cells[1], len(calls) - cells[1]
+    assert first == len(blocks) + len(cfg.coarse_kinds)
+    assert second == (0 if problem == "MP1" else 2 + len(cfg.coarse_kinds))
+
+
+def test_each_run_experiment_builds_its_layouts_anew(monkeypatch):
+    """Nothing outlives a run_experiment call: two calls on one product
+    config each partition every n once."""
+    cfg = SHARED_LAYOUT_SWEEPS["MP1"]
+    partitioned = []
+    partition = harness.partition
+
+    def counted_partition(grid, p):
+        partitioned.append(grid.n)
+        return partition(grid, p)
+
+    monkeypatch.setattr(harness, "partition", counted_partition)
+    first = run_experiment(cfg, warn=lambda m: None)
+    assert partitioned == list(cfg.n_list)
+    second = run_experiment(cfg, warn=lambda m: None)
+    assert partitioned == 2 * list(cfg.n_list)
+    assert [r.iterations for r in first] == [r.iterations for r in second]
 
 
 def test_run_experiment_rejects_even_n_mp1():

@@ -10,7 +10,8 @@ from helmdd.decomposition import extend_max, interval_classes, partition
 from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig
 from helmdd.harness import ExperimentConfig, run_experiment
-from helmdd.linalg import SingularMatrixError, eigenbasis, factorize, factorize_kronecker, solve
+from helmdd import linalg
+from helmdd.linalg import Eigenbases, SingularMatrixError, eigenbasis, factorize, factorize_kronecker, solve
 from reference import generalized_eigenbasis, kronecker_solve
 
 
@@ -282,3 +283,26 @@ def test_mp1_run_calls_scipy_eigh_only(monkeypatch):
     (row,) = run_experiment(cfg)
     assert all(isinstance(count, int) for count in row.iterations.values())
     assert calls  # the coarse and interval pencils
+
+
+def test_eigenbases_computes_each_distinct_pencil_once(monkeypatch):
+    """Eigenbases returns the eigenbasis it computed for a byte-equal pencil,
+    whatever array holds it, and computes one for any pencil differing in a
+    byte or in dtype."""
+    calls = []
+
+    def counted_eigenbasis(T, W):
+        calls.append((T.dtype, W.dtype))
+        return eigenbasis(T, W)
+
+    monkeypatch.setattr(linalg, "eigenbasis", counted_eigenbasis)
+    T, W = (P.real for P in random_complex_pencil(9, seed=3))
+    bases = Eigenbases()
+    basis = bases(T, W)
+    assert bases(T.copy(), W.copy()) is basis and len(calls) == 1
+    assert bases(T.astype(complex), W) is not basis
+    shifted = T.copy()
+    shifted[0, 0] = np.nextafter(shifted[0, 0], np.inf)
+    assert bases(shifted, W) is not basis
+    assert bases(T, 2 * W) is not basis
+    assert len(calls) == 4 and bases(T, W) is basis

@@ -324,6 +324,35 @@ def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
             assert np.abs(A_i @ x - b).max() <= 1e-14 * cond_q * scale
 
 
+def solver_bytes(solver):
+    """The bytes of a class solver, a dense inverse or a KroneckerFactorization."""
+    if isinstance(solver, np.ndarray):
+        return solver.tobytes()
+    return b"".join(a.tobytes() for b in (solver.y, solver.x) for a in (b.lam, b.q, b.v)) + solver.d.tobytes()
+
+
+@pytest.mark.parametrize("problem", ["MP1", "MP2"])
+@pytest.mark.parametrize("p", [8, 2], ids=["dense", "factored"])
+def test_local_solves_on_a_shared_layout_match_fresh_ones(problem, p):
+    """LocalSolves built on the LocalLayout of another k's problem share its
+    gather and hold every class solver byte for byte as a LocalSolves built
+    afresh; the layout's interval classes are those of every k, and a layout
+    is refused for another decomposition."""
+    grid = Grid(33, "dirichlet" if problem == "MP1" else "sommerfeld")
+    dec = extend_max(partition(grid, p))
+    first = assemble(grid, 3.0, problem)
+    layout = LocalSolves(dec, first).layout
+    for k in (5.0, 11.5):
+        prob = assemble(grid, k, problem)
+        assert np.array_equal(interval_classes(dec, prob)[0], interval_classes(dec, first)[0])
+        shared, fresh = LocalSolves(dec, prob, layout), LocalSolves(dec, prob)
+        assert shared.gather is layout.gather and np.array_equal(shared.gather, fresh.gather)
+        assert [(lo, hi) for lo, hi, _ in shared.classes] == [(lo, hi) for lo, hi, _ in fresh.classes]
+        assert [solver_bytes(a) for *_, a in shared.classes] == [solver_bytes(b) for *_, b in fresh.classes]
+    with pytest.raises(ValueError, match="another decomposition"):
+        LocalSolves(extend(partition(grid, p), 1), first, layout)
+
+
 def unbuffered_add_to(local_solves, x, out, weighted):
     """LocalSolves.add_to with fresh arrays and no chunks: x[gather], one
     product per dense class, the per-member reference.kronecker_solve per
