@@ -23,14 +23,15 @@ galerkin forms the coarse level of a space for a HelmholtzProblem.  The
 problem's A = T(x)W + W(x)T - k^2 W(x)W (discretization.assemble) and
 R_0 = P(x)P make A_0 = R_0 A R_0^T the same Kronecker sum of T_0 = P T P^T
 and W_0 = P W P^T, solved by fast diagonalization (linalg.factorize_kronecker
-with the one eigenbasis of (T_0, W_0) in both dimensions).  A
-linalg.Eigenbases passed to galerkin computes that eigenbasis once per
-distinct pencil: on MP1, once for every k of a space.  The CoarseLevel
-it returns holds P, that factorization and the problem, none of them
-optional, and is no dataclass: dataclasses.replace cannot pair a new P with
-the old factorization.  A space changed with replace is a new space, and a
-new call to galerkin factors it.  The level forms the sparse A_0 from the
-problem on access, for inspection; no solve reads it.  coarse_correct
+with the one eigenbasis of (T_0, W_0) in both dimensions), which galerkin
+takes from its eigensolver: linalg.eigenbasis, or the one linalg.Eigenbases
+of a sweep layout's schwarz.LocalLayout, computing it once per distinct
+pencil (on MP1, once for every k of a space).  T and W are CSR.  The
+CoarseLevel it returns holds P, that factorization and the problem, none of
+them optional, and is no dataclass: dataclasses.replace cannot pair a new P
+with the old factorization.  A space changed with replace is a new space,
+and a new call to galerkin factors it.  The level forms the sparse A_0 from
+the problem on access, for inspection; no solve reads it.  coarse_correct
 applies R_0 and R_0^T as P X P^T and P^T Y P on the grid vector reshaped to
 a square, so R_0 is never formed.
 
@@ -125,15 +126,15 @@ def _coarse_factors(p: sp.csr_matrix, problem: HelmholtzProblem) -> tuple:
     return (T0 + T0.T) * 0.5, (W0 + W0.T) * 0.5
 
 
-def galerkin(space: CoarseSpace, problem: HelmholtzProblem, bases: linalg.Eigenbases | None = None) -> CoarseLevel:
+def galerkin(space: CoarseSpace, problem: HelmholtzProblem, eigenbasis=linalg.eigenbasis) -> CoarseLevel:
     """The coarse level of space for problem: A_0 = R_0 A R_0^T factored in
-    its Kronecker eigenbasis, which bases, when given, keeps for the next
-    problem with a byte-equal (T_0, W_0)."""
+    the Kronecker eigenbasis that eigenbasis(T_0, W_0) returns, computed anew
+    by linalg.eigenbasis or kept for byte-equal pencils by a linalg.Eigenbases."""
     if not isinstance(problem, HelmholtzProblem):
         raise TypeError(f"galerkin takes a HelmholtzProblem, got {type(problem).__name__}")
     if problem.grid != space.grid:
         raise ValueError(f"coarse space is built on {space.grid}, problem on {problem.grid}")
-    basis = (linalg.eigenbasis if bases is None else bases)(*_coarse_factors(space.p, problem))
+    basis = eigenbasis(*_coarse_factors(space.p, problem))
     return CoarseLevel(space.p, linalg.factorize_kronecker(basis, basis, problem.k), problem)
 
 

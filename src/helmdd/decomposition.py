@@ -125,27 +125,26 @@ def local_matrix(decomp: Decomposition, i: int, A: sp.csr_matrix) -> sp.csr_matr
     return A[idx][:, idx]
 
 
-def _restrictions(F, lo, hi) -> list:
+def _restrictions(F: sp.csr_matrix, lo, hi) -> list:
     """The dense F[a:b+1, a:b+1] of each interval [a, b], every entry read
-    from the sparse F at once (as its toarray() would give it, but with no
-    dense copy of F)."""
+    from the CSR matrix F at once (as its toarray() would give it, but with
+    no dense copy of F)."""
     size = hi - lo + 1
     count = size * size
     ends = np.cumsum(count)
     flat = np.arange(ends[-1]) - np.repeat(ends - count, count)  # place in its interval's block
     i, j = np.divmod(flat, np.repeat(size, count))
     first = np.repeat(lo, count)
-    values = np.asarray(sp.csr_matrix(F)[first + i, first + j]).ravel()
+    values = np.asarray(F[first + i, first + j]).ravel()
     return [v.reshape(s, s) for v, s in zip(np.split(values, ends[:-1]), size)]
 
 
-def interval_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
+def interval_classes(decomp: Decomposition, problem: HelmholtzProblem) -> np.ndarray:
     """Group the p 1D intervals by the restrictions of problem's 1D factors
     T and W to them (discretization.assemble), compared bit for bit.
 
-    Returns (classes, blocks): classes[a] is interval a's class, numbered by
-    first appearance, and blocks[c] the dense (T, W) restricted to class c's
-    first interval.  Subdomain ay * p + ax has the block
+    Returns classes: classes[a] is interval a's class, numbered by first
+    appearance.  Subdomain ay * p + ax has the block
     T_Y(x)W_X + W_Y(x)T_X - k^2 W_Y(x)W_X of its intervals Y = ay and X = ax,
     so subdomains whose (Y class, X class) pairs agree have equal blocks.
     Distinct pairs can still give equal blocks (an MP1 box of width 1 and
@@ -153,14 +152,14 @@ def interval_classes(decomp: Decomposition, problem: HelmholtzProblem) -> tuple:
     """
     if (decomp.hi < decomp.lo).any():
         raise ValueError("an empty subdomain has no block")
-    content: dict = {}  # bytes of T and W on an interval -> (its class, T and W on it)
-    classes = []
-    for t, w in interval_pencils(decomp, problem, np.arange(decomp.p)):
-        classes.append(content.setdefault(t.tobytes() + w.tobytes(), (len(content), (t, w)))[0])
-    return np.array(classes), [block for _, block in content.values()]
+    content: dict = {}  # bytes of T and W on an interval -> its class
+    pencils = interval_pencils(decomp, problem, np.arange(decomp.p))
+    return np.array([content.setdefault(t.tobytes() + w.tobytes(), len(content)) for t, w in pencils])
 
 
 def interval_pencils(decomp: Decomposition, problem: HelmholtzProblem, intervals) -> list:
     """The dense (T, W) of problem's 1D factors restricted to each of the given intervals."""
+    if problem.grid != decomp.grid:
+        raise ValueError(f"problem is assembled on {problem.grid}, decomposition built on {decomp.grid}")
     lo, hi = decomp.lo[intervals], decomp.hi[intervals]
     return list(zip(_restrictions(problem.T, lo, hi), _restrictions(problem.W, lo, hi)))

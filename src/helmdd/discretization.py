@@ -87,7 +87,7 @@ class HelmholtzProblem:
     A: sp.csr_matrix
     f: np.ndarray
     T: sp.csr_matrix
-    W: sp.dia_matrix
+    W: sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def assemble(grid: Grid, k: float, problem: str) -> HelmholtzProblem:
         diagonal[[0, -1]] = 1.0 / h**2 - 1j * k / h
         weights[[0, -1]] = 0.5
     off = np.full(m - 1, -1.0 / h**2)
-    T, W = sp.diags([off, diagonal, off], [-1, 0, 1], format="csr"), sp.diags(weights)
+    T, W = sp.diags([off, diagonal, off], [-1, 0, 1], format="csr"), sp.diags(weights, format="csr")
     # T[j+1, j] and T[j-1, j] at node j, zero where the neighbour is off the line
     lower, upper = np.append(off, 0), np.insert(off, 0, 0)
     bands = np.empty((5, m, m), dtype=T.dtype)  # band d at grid line i, node j

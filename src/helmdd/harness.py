@@ -2,23 +2,23 @@
 collects GMRES iteration counts into table rows, and writes CSV reports.
 
 The cells of one n run one after another and share that layout's
-k-independent setup (_Layout): the grid, the decomposition, the coarse
-spaces, the local solves' LocalLayout (the 1D intervals classed by the
-restrictions of the 1D factors T and W to them, and the gather), and the
-eigenbasis of every pencil byte-equal to one an earlier cell met (all of
-MP1's, MP2's on the interior intervals).  The first cell of a layout builds
-it, inside its own setup time; the layout is dropped before the next n, and
-the rows come back in sweep order.  A cell assembles its problem, factors
-the Galerkin coarse problem once per coarse kind and builds its local
-solves once with schwarz.LocalSolves (one block per pair of interval
-classes), shared by every preconditioner kind.  Nonconverged solves
-are reported with the literal 'x' in place of the iteration count.  Reruns
-of the same configuration at a fixed BLAS thread count produce identical
-counts; only the timing columns vary.  Cells whose residual stagnates near
-the tolerance (FOCS on MP1, or kappa_H > 1) move by a few iterations, or
-across the cap, under any change of rounding; no HOCS cell with
-kappa_H <= 1 moves.  tests/golden.py states how far such a count may move,
-and CHANGES.md records the counts that have moved.
+k-independent setup (_Layout): the coarse spaces and schwarz.LocalLayout,
+which holds the decomposition, the interval classes, the gather and the
+layout's one memo of eigenbases, so a later cell computes only those of
+pencils that hold k (none on MP1; on MP2 the end intervals' and coarse
+ones).  The first cell builds it after assembling its problem, inside its
+own setup time; the layout is dropped before the next n, and the rows come
+back in sweep order.  A cell factors the Galerkin coarse problem once per
+coarse kind and builds its local solves once with schwarz.LocalSolves,
+shared by every preconditioner kind; a SingularMatrixError in either
+names its cell and level.  Nonconverged solves are reported with the
+literal 'x' in place of the iteration count.  Reruns of the same
+configuration at a fixed BLAS thread count produce identical counts; only
+the timing columns vary.  Cells whose residual stagnates near the tolerance
+(FOCS on MP1, or kappa_H > 1) move by a few iterations, or across the cap,
+under any change of rounding; no HOCS cell with kappa_H <= 1 moves.
+tests/golden.py states how far such a count may move, and CHANGES.md
+records the counts that have moved.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decomposition, linalg
+from . import decomposition
 from .coarse import COARSE_KINDS, build_focs, build_hocs, galerkin
-from .decomposition import Decomposition, extend, extend_max, partition
+from .decomposition import extend, extend_max, partition
 from .discretization import PROBLEMS, Grid, RegimeReport, assemble, regime
 from .gmres import GmresConfig, gmres
+from .linalg import SingularMatrixError
 from .schwarz import PRECONDITIONER_KINDS, LocalLayout, LocalSolves, SchwarzPreconditioner
 
 # not called here: perfbench/spans.targets(full=True) wraps harness.local_matrix by name
@@ -251,38 +252,41 @@ def validate_config(cfg: ExperimentConfig):
 
 @dataclass
 class _Layout:
-    """The k-independent setup that the cells of one n share: the
-    decomposition, the coarse spaces, the local solves' LocalLayout and the
-    eigenbases of the coarse pencils.  The first cell of the layout fills it
-    in, inside its own setup time."""
+    """The k-independent setup that the cells of one n share: the coarse
+    spaces and the LocalLayout, which holds the decomposition and the one
+    memo of eigenbases.  The layout's first cell fills it in."""
 
-    decomp: Decomposition | None = None
     spaces: dict = field(default_factory=dict)
-    coarse_bases: linalg.Eigenbases = field(default_factory=linalg.Eigenbases)
     local: LocalLayout | None = None
 
 
-def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport, layout: _Layout | None = None) -> TableRow:
+def _named(what: str, k, n: int, build, *args):
+    """build(*args), a SingularMatrixError raised in it named with its cell and level."""
+    try:
+        return build(*args)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"k={k} n={n} {what}: {exc}") from exc
+
+
+def _run_cell(cfg: ExperimentConfig, k, n: int, p: int, rep: RegimeReport, layout: _Layout) -> TableRow:
     t0 = time.perf_counter()
-    if layout is None:
-        layout = _Layout()
-    if layout.decomp is None:
-        grid = Grid(n=n, bc=PROBLEMS[cfg.problem])
+    grid = Grid(n=n, bc=PROBLEMS[cfg.problem])
+    prob = assemble(grid, k, cfg.problem)
+    if layout.local is None:
         # one name for both, so the zero-overlap decomposition is not held through the solves
         decomp = partition(grid, p)
-        layout.decomp = extend_max(decomp) if cfg.overlap == "max" else extend(decomp, int(cfg.overlap))
+        decomp = extend_max(decomp) if cfg.overlap == "max" else extend(decomp, int(cfg.overlap))
         builders = {"FOCS": build_focs, "HOCS": build_hocs}
         layout.spaces = {ck: builders[ck](grid, cfg.coarse_ratio) for ck in cfg.coarse_kinds}
-    decomp = layout.decomp
-    grid = decomp.grid
-    prob = assemble(grid, k, cfg.problem)
+        layout.local = LocalLayout(decomp, prob)
+    decomp, bases = layout.local.decomposition, layout.local.bases
     # the order is free: on MP1 only a layout's first cell calls scipy's eigh
-    # (linalg.eigenbasis), in both galerkin and LocalSolves, and a pause between
+    # (linalg.eigenbasis), in galerkin and then in LocalSolves, and a pause between
     # LocalSolves and the first solve lowered no solve_s beyond the noise
-    # (CHANGES.md, the solve-path cuts); later cells take every eigenbasis from the layout
-    levels = {ck: galerkin(space, prob, layout.coarse_bases) for ck, space in layout.spaces.items()}
-    local_solves = LocalSolves(decomp, prob, layout.local)
-    layout.local = local_solves.layout
+    # (CHANGES.md, the solve-path cuts); later cells take every eigenbasis from
+    # the layout's one memo, layout.local.bases
+    levels = {ck: _named(f"{ck} coarse problem", k, n, galerkin, cs, prob, bases) for ck, cs in layout.spaces.items()}
+    local_solves = _named("local solves", k, n, LocalSolves, decomp, prob, layout.local)
     setup_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()

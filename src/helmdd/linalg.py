@@ -24,8 +24,8 @@ moved 12 stagnating counts of tables 2-4, numpy's eigh 8 (ROADMAP).
 k enters only D, so a pencil, and with it its eigenbasis, is the same for
 every k whenever its T and W are: all of MP1's, and MP2's away from the
 Sommerfeld boundary.  Eigenbases keeps the eigenbases it has computed by the
-bytes of their pencils; the cells of one sweep layout share one for the
-coarse pencils and one for the interval pencils.
+bytes of their pencils; a sweep layout's cells share one, the memo of its
+schwarz.LocalLayout, for the coarse and the interval pencils alike.
 
 The solve multiplies by Q and V, so its normwise backward error grows with
 cond(Q_y) cond(Q_x), where LU with partial pivoting's does not.  MP1 has

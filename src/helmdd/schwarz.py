@@ -23,11 +23,11 @@ last), so at most 9 distinct blocks remain, however many subdomains there
 are.  LocalSolves takes one linalg.eigenbasis per interval class; its
 block classes are the (Y class, X class) pairs, in the order of their first
 subdomains, each factored by linalg.factorize_kronecker.  What k does not
-change (the classes, the gather below and the eigenbases of the pencils
-without k) is a LocalLayout, which the LocalSolves of one grid's problems
-can share.  No local block is assembled and no sparse LU is formed; the
-tests hold both forms against SuperLU on the assembled blocks.  A class
-takes one of two forms:
+change (the classes, the gather below and one memo of eigenbases, which
+the coarse levels share) is a LocalLayout, which the LocalSolves of one
+grid's problems share.  No local block is assembled and no sparse LU is
+formed; the tests hold both forms against SuperLU on the assembled blocks.
+A class takes one of two forms:
 
 * A block of at most DENSE_BLOCK_MAX_UNKNOWNS unknowns is kept as its dense
   inverse (Q_Y(x)Q_X) D^{-1} (V_Y(x)V_X).  The class solve is one matrix
@@ -96,18 +96,19 @@ _CHUNK_ENTRIES = 32768
 class LocalLayout:
     """The part of LocalSolves that k does not change, for the problems of one grid.
 
-    Holds the interval classes of decomposition (classes[a] is interval a's
-    class, as decomposition.interval_classes numbers them) and the first
-    interval of each, the gather, the (start, stop, Y class, X class) of
-    each block class's stretch of it, and a linalg.Eigenbases for the
-    interval pencils.  The classes found for one problem hold for every
-    problem on the decomposition's grid: MP1's T and W do not depend on k,
-    and k sets only the diagonal of MP2's T at the two end nodes of a line,
-    to 1/h^2 - ik/h, a value no other diagonal entry takes, so two
-    intervals' restrictions are equal at every k or at none.
+    Classes the intervals of decomposition for problem (interval_classes)
+    and holds the first interval of each class, the gather, the (start,
+    stop, Y class, X class) of each block class's stretch of it, and the
+    layout's one linalg.Eigenbases, for its LocalSolves and coarse levels.
+    The classes found for one problem hold for every problem on the grid:
+    MP1's T and W do not depend on k, and k sets only the diagonal of MP2's
+    T at the two end nodes of a line, to 1/h^2 - ik/h, a value no other
+    diagonal entry takes, so two intervals' restrictions are equal at every
+    k or at none.
     """
 
-    def __init__(self, decomposition: Decomposition, classes: np.ndarray):
+    def __init__(self, decomposition: Decomposition, problem: HelmholtzProblem):
+        classes = interval_classes(decomposition, problem)
         members = [np.flatnonzero(classes == c) for c in range(classes.max() + 1)]
         self.decomposition = decomposition
         self.firsts = [m[0] for m in members]
@@ -125,12 +126,12 @@ class LocalLayout:
 class LocalSolves:
     """The one-level term sum_i R_i^T [D_i] (R_i A R_i^T)^{-1} R_i, batched by block class.
 
-    Builds on layout, a LocalLayout of decomposition made for another problem
-    on its grid, or, when none is given, classes the intervals of
-    decomposition for problem (decomposition.interval_classes) and makes its
-    own.  Takes the eigenbasis of each interval class's pencil from the
-    layout's Eigenbases, and factors the block of each (Y class, X class)
-    pair in the eigenbases of its two classes.  A class of at most
+    Builds on layout, a LocalLayout of decomposition made for any problem on
+    its grid, or, when none is given, makes its own for problem.  Takes the
+    pencil of each interval class's first interval
+    (decomposition.interval_pencils), its eigenbasis from the layout's
+    Eigenbases, and factors the block of each (Y class, X class) pair in
+    the eigenbases of its two classes.  A class of at most
     DENSE_BLOCK_MAX_UNKNOWNS unknowns keeps its dense inverse, any other its
     KroneckerFactorization (see the module docstring).  Raises
     linalg.SingularMatrixError on a resonant block.  One object serves every
@@ -139,20 +140,15 @@ class LocalSolves:
     """
 
     def __init__(self, decomposition: Decomposition, problem: HelmholtzProblem, layout: LocalLayout | None = None):
-        if problem.grid != decomposition.grid:
-            raise ValueError(f"problem is assembled on {problem.grid}, decomposition built on {decomposition.grid}")
         if layout is None:
-            classes, pencils = interval_classes(decomposition, problem)
-            layout = LocalLayout(decomposition, classes)
-        elif layout.decomposition is decomposition:
-            pencils = interval_pencils(decomposition, problem, layout.firsts)
-        else:
+            layout = LocalLayout(decomposition, problem)
+        elif layout.decomposition is not decomposition:
             raise ValueError("layout was made for another decomposition")
         self.decomposition = decomposition
         self.problem = problem
         self.layout = layout
         self.gather = layout.gather
-        bases = [layout.bases(T, W) for T, W in pencils]
+        bases = [layout.bases(T, W) for T, W in interval_pencils(decomposition, problem, layout.firsts)]
         self.classes = []  # (start, stop, solver) of each class's stretch of the gather
         for start, stop, cy, cx in layout.stretches:
             F = linalg.factorize_kronecker(bases[cy], bases[cx], problem.k)

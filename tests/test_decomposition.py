@@ -10,6 +10,7 @@ from helmdd.decomposition import (
     extend,
     extend_max,
     interval_classes,
+    interval_pencils,
     local_matrix,
     max_overlap_layers,
     partition,
@@ -252,8 +253,8 @@ def reference_block_classes(dec, prob, overlap):
 def block_labels(dec, prob):
     """The subdomain labels interval_classes implies: subdomain ay * p + ax is
     labelled classes[ay] * C + classes[ax], for C interval classes."""
-    classes, blocks = interval_classes(dec, prob)
-    return (classes[:, None] * len(blocks) + classes).ravel()
+    classes = interval_classes(dec, prob)
+    return (classes[:, None] * (classes.max() + 1) + classes).ravel()
 
 
 def assert_classes_match_reference(dec, prob, overlap):
@@ -294,10 +295,11 @@ def test_block_classes_group_identical_blocks(problem, p, cells, k, data):
     overlap = data.draw(st.integers(0, max_overlap_layers(part)), label="overlap")
     dec = extend(part, overlap)
     assert_classes_match_reference(dec, prob, overlap)
-    classes, blocks = interval_classes(dec, prob)
-    assert len(classes) == dec.p and len(blocks) <= 3
-    # numbered by first appearance, each class's block taken on its first interval
+    classes = interval_classes(dec, prob)
+    # numbered by first appearance; each class's block taken on its first interval
     values, first = np.unique(classes, return_index=True)
+    blocks = interval_pencils(dec, prob, first)
+    assert len(classes) == dec.p and len(blocks) <= 3
     assert np.array_equal(values, np.arange(len(blocks))) and np.array_equal(np.sort(first), first)
     T, W = prob.T.toarray(), prob.W.toarray()
     for a, (lo, hi) in enumerate(zip(dec.lo, dec.hi)):
@@ -330,8 +332,8 @@ def test_block_classes_of_the_table_cells():
         grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
         dec = extend_max(partition(grid, p))
         prob = assemble(grid, 10.0, problem)
-        _, blocks = interval_classes(dec, prob)
-        assert len(blocks) ** 2 == len(LocalSolves(dec, prob).classes) == distinct
+        count = interval_classes(dec, prob).max() + 1
+        assert count**2 == len(LocalSolves(dec, prob).classes) == distinct
     # every class of tables 1-3 keeps its dense inverse, every class of table 4 is factored
     for which in (1, 2, 3, 4):
         cfg = builtin_table(which)
@@ -342,7 +344,7 @@ def test_block_classes_of_the_table_cells():
             grid = Grid(n, "dirichlet" if cfg.problem == "MP1" else "sommerfeld")
             dec = extend_max(partition(grid, (n - 1) // cfg.coarse_ratio))
             prob = assemble(grid, k, cfg.problem)
-            _, blocks = interval_classes(dec, prob)
+            count = interval_classes(dec, prob).max() + 1
             forms = [type(solver) for *_, solver in LocalSolves(dec, prob).classes]
             form = KroneckerFactorization if which == 4 else np.ndarray
-            assert forms == [form] * len(blocks) ** 2, (which, n)
+            assert forms == [form] * count**2, (which, n)

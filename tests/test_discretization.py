@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helmdd.coarse import CoarseLevel, _coarse_factors, build_focs, build_hocs, galerkin
+from helmdd.decomposition import extend_max, interval_pencils, partition
 from helmdd.discretization import PROBLEMS, Grid, assemble, kronecker_sum, regime
 from helmdd.linalg import factorize, solve
 from reference import ResonantWavenumberError, analytical_mp1, unknown_coords
@@ -184,6 +188,33 @@ def test_assemble_never_calls_kron(monkeypatch):
     monkeypatch.setattr(sp, "kron", refuse)
     for c, A in zip(cells, want):
         assert_same_csr(assemble(*c).A, A)
+
+
+@pytest.mark.parametrize(
+    "problem, n, k, ratio", [("MP2", 81, 20.0, 4), ("MP1", 65, 5.0, 16)], ids=["table1", "table4"]
+)
+def test_csr_weights_give_the_bytes_of_dia_weights(problem, n, k, ratio):
+    """assemble's W is the CSR form of sp.diags(weights), and on a table-1
+    and a table-4 layout A, every interval pencil, both coarse spaces'
+    (T_0, W_0) and A_0 are byte-equal to those built from the DIA
+    sp.diags(weights): A against kronecker_sum, the pencils against slices
+    of the DIA W's toarray()."""
+    grid = Grid(n, PROBLEMS[problem])
+    prob = assemble(grid, k, problem)
+    dia = replace(prob, W=sp.diags(prob.W.diagonal()))
+    assert prob.W.format == "csr" and dia.W.format == "dia"
+    assert_same_csr(prob.W, dia.W.tocsr())
+    assert_same_csr(prob.A, kronecker_sum(dia.T, dia.W, k))
+    dec = extend_max(partition(grid, (n - 1) // ratio))
+    T, W = prob.T.toarray(), dia.W.toarray()
+    for (t, w), lo, hi in zip(interval_pencils(dec, prob, np.arange(dec.p)), dec.lo, dec.hi):
+        for got, want in ((t, T[lo:hi + 1, lo:hi + 1]), (w, W[lo:hi + 1, lo:hi + 1])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for build in (build_focs, build_hocs):
+        level = galerkin(build(grid, ratio), prob)
+        for got, want in zip(_coarse_factors(level.p, prob), _coarse_factors(level.p, dia)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_same_csr(level.a0, CoarseLevel(level.p, level.factorization, dia).a0)
 
 
 class TestAnalyticalMP1:

@@ -1,12 +1,15 @@
 import csv
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helmdd import cli, harness, linalg
-from helmdd.decomposition import extend_max, interval_classes, partition
+from helmdd.coarse import _coarse_factors, build_hocs
+from helmdd.decomposition import extend_max, interval_classes, interval_pencils, partition
 from helmdd.discretization import PROBLEMS, Grid, assemble
 from helmdd.gmres import GmresConfig, gmres
 from helmdd.harness import (
@@ -377,11 +380,11 @@ def test_a_layout_computes_each_eigenbasis_once(problem, monkeypatch):
     run_experiment(cfg, warn=lambda m: None)
     (k, n, p, _, _), _ = validate_config(cfg)
     grid = Grid(n, PROBLEMS[problem])
-    _, blocks = interval_classes(extend_max(partition(grid, p)), assemble(grid, k, problem))
+    count = interval_classes(extend_max(partition(grid, p)), assemble(grid, k, problem)).max() + 1
     # MP1's end intervals form one class, MP2's first and last one each
-    assert len(blocks) == (2 if problem == "MP1" else 3)
+    assert count == (2 if problem == "MP1" else 3)
     first, second = cells[1], len(calls) - cells[1]
-    assert first == len(blocks) + len(cfg.coarse_kinds)
+    assert first == count + len(cfg.coarse_kinds)
     assert second == (0 if problem == "MP1" else 2 + len(cfg.coarse_kinds))
 
 
@@ -402,6 +405,32 @@ def test_each_run_experiment_builds_its_layouts_anew(monkeypatch):
     second = run_experiment(cfg, warn=lambda m: None)
     assert partitioned == 2 * list(cfg.n_list)
     assert [r.iterations for r in first] == [r.iterations for r in second]
+
+
+@pytest.mark.parametrize("level", ["local solves", "HOCS coarse problem"])
+def test_a_resonant_cell_names_its_cell_and_level(level, tmp_path, capsys):
+    """An MP1 product sweep at n = 17 whose second k puts k^2 at twice the
+    lowest eigenvalue of the first interval class's pencil (or of the HOCS
+    coarse pencil) raises a SingularMatrixError that names that cell and
+    level, from the bare error of the level; the CLI reports it with exit
+    code 2."""
+    cfg = ExperimentConfig(problem="MP1", k_list=(5,), n_list=(17,), sweep="product")
+    grid = Grid(17, "dirichlet")
+    prob = assemble(grid, 5.0, "MP1")  # MP1's pencils do not depend on k
+    if level == "local solves":
+        (pencil,) = interval_pencils(extend_max(partition(grid, 4)), prob, [0])
+    else:
+        pencil = _coarse_factors(build_hocs(grid, 4).p, prob)
+    k = float(np.sqrt(2 * linalg.eigenbasis(*pencil).lam[0]))
+    message = re.escape(f"k={k} n=17 {level}: resonant mode (i, j) = (0, 0)")
+    with pytest.raises(linalg.SingularMatrixError, match=f"^{message}$") as raised:
+        run_experiment(replace(cfg, k_list=(5, k)), warn=lambda m: None)
+    assert isinstance(raised.value.__cause__, linalg.SingularMatrixError)
+    assert str(raised.value.__cause__) == "resonant mode (i, j) = (0, 0)"
+    config = tmp_path / "resonant.cfg"
+    config.write_text(f"problem = MP1\nk = 5, {k!r}\nn = 17\nsweep = product\n")
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out.csv")]) == 2
+    assert re.search(f"^error: {message}$", capsys.readouterr().err, re.MULTILINE)
 
 
 def test_run_experiment_rejects_even_n_mp1():

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from helmdd.coarse import _coarse_factors, build_focs, build_hocs, galerkin
-from helmdd.decomposition import extend_max, interval_classes, partition
+from helmdd.decomposition import extend_max, interval_classes, interval_pencils, partition
 from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig
 from helmdd.harness import ExperimentConfig, run_experiment
@@ -190,8 +190,9 @@ def complex_pencils():
             T0, W0 = _coarse_factors(cs.p, cs.problem)
             yield pytest.param(T0, W0, id=f"coarse-{kind}-k{k}")
         grid = Grid(4 * k + 1, "sommerfeld")
-        _, blocks = interval_classes(extend_max(partition(grid, k)), assemble(grid, float(k), "MP2"))
-        for c, (T, W) in enumerate(blocks):
+        dec, prob = extend_max(partition(grid, k)), assemble(grid, float(k), "MP2")
+        firsts = np.unique(interval_classes(dec, prob), return_index=True)[1]
+        for c, (T, W) in enumerate(interval_pencils(dec, prob, firsts)):
             yield pytest.param(T, W, id=f"interval-k{k}-class{c}")
 
 
@@ -237,7 +238,7 @@ def test_real_eigenbasis_is_scipy_eigh_byte_for_byte(name):
         if name == "MP1-coarse":
             T, W = _coarse_factors(build_hocs(grid, 4).p, prob)
         else:
-            (T, W), *_ = interval_classes(extend_max(partition(grid, 40)), prob)[1]
+            (T, W), *_ = interval_pencils(extend_max(partition(grid, 40)), prob, [0])  # interval 0 opens class 0
     basis = eigenbasis(T, W)
     lam, q = scipy.linalg.eigh(T, W)
     assert basis.lam.tobytes() == lam.tobytes() and basis.q.tobytes() == q.tobytes()

@@ -24,7 +24,7 @@ from helmdd.discretization import Grid, assemble
 from helmdd.gmres import GmresConfig, gmres
 from helmdd.harness import builtin_table, run_experiment
 from helmdd.linalg import KroneckerFactorization, SingularMatrixError, factorize, solve
-from helmdd.schwarz import LocalSolves, SchwarzPreconditioner
+from helmdd.schwarz import LocalLayout, LocalSolves, SchwarzPreconditioner
 from reference import (
     coarse_correct_lu,
     kronecker_solve,
@@ -300,7 +300,7 @@ def test_kronecker_blocks_match_sparse_lu(problem, cells, p, overlap, k, seed):
     part = partition(grid, p)
     assume(overlap <= max_overlap_layers(part))
     dec = extend(part, overlap)
-    first = np.unique(interval_classes(dec, prob)[0], return_index=True)[1]
+    first = np.unique(interval_classes(dec, prob), return_index=True)[1]
     representatives = [ay * p + ax for ay in first for ax in first]  # each block class's first subdomain
     production = LocalSolves(dec, prob).classes
     with mock.patch.object(schwarz, "DENSE_BLOCK_MAX_UNKNOWNS", 0):
@@ -344,13 +344,48 @@ def test_local_solves_on_a_shared_layout_match_fresh_ones(problem, p):
     layout = LocalSolves(dec, first).layout
     for k in (5.0, 11.5):
         prob = assemble(grid, k, problem)
-        assert np.array_equal(interval_classes(dec, prob)[0], interval_classes(dec, first)[0])
+        assert np.array_equal(interval_classes(dec, prob), interval_classes(dec, first))
         shared, fresh = LocalSolves(dec, prob, layout), LocalSolves(dec, prob)
         assert shared.gather is layout.gather and np.array_equal(shared.gather, fresh.gather)
         assert [(lo, hi) for lo, hi, _ in shared.classes] == [(lo, hi) for lo, hi, _ in fresh.classes]
         assert [solver_bytes(a) for *_, a in shared.classes] == [solver_bytes(b) for *_, b in fresh.classes]
     with pytest.raises(ValueError, match="another decomposition"):
         LocalSolves(extend(partition(grid, p), 1), first, layout)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=st.sampled_from(["MP1", "MP2"]), data=st.data())
+def test_a_layout_made_at_one_k_serves_every_k(problem, data):
+    """The invariant a shared LocalLayout rests on: two intervals'
+    restrictions are equal at every k or at none.  On MP1 and MP2 grids of
+    n <= 65, with p dividing n - 1 and 0 to max + 1 overlap layers, two
+    distinct k give the same interval classes, and LocalSolves built at k2 on
+    a layout made, and first used, at k1 holds class solvers byte-equal to
+    a fresh one at k2, or raises the same error at a resonant k2."""
+    if problem == "MP1":
+        n = data.draw(st.integers(2, 32).map(lambda i: 2 * i + 1), label="n")
+    else:
+        n = data.draw(st.integers(3, 65), label="n")
+    p = data.draw(st.sampled_from([d for d in range(1, n) if (n - 1) % d == 0]), label="p")
+    grid = Grid(n, "dirichlet" if problem == "MP1" else "sommerfeld")
+    part = partition(grid, p)
+    dec = extend(part, data.draw(st.integers(0, max_overlap_layers(part) + 1), label="overlap"))
+    assume((dec.hi >= dec.lo).all())
+    k1, k2 = (data.draw(st.floats(0.5, 30.0), label=f"k{i}") for i in (1, 2))
+    assume(k1 != k2)
+    first, second = assemble(grid, k1, problem), assemble(grid, k2, problem)
+    assert np.array_equal(interval_classes(dec, first), interval_classes(dec, second))
+
+    def built(*args):
+        """(start, stop, solver bytes) of each class of LocalSolves(*args), or its error."""
+        try:
+            return [(lo, hi, solver_bytes(solver)) for lo, hi, solver in LocalSolves(*args).classes]
+        except SingularMatrixError as exc:  # a resonant k, on either layout alike
+            return str(exc)
+
+    layout = LocalLayout(dec, first)
+    built(dec, first, layout)  # fills the layout's eigenbases at k1
+    assert built(dec, second, layout) == built(dec, second)
 
 
 def unbuffered_add_to(local_solves, x, out, weighted):
@@ -572,7 +607,7 @@ def test_resonant_local_block_is_rejected_by_both_paths():
         T = assemble(grid, 1.0, "MP1").T.toarray()  # MP1's T and W = I do not depend on k
         lam, mu = scipy.linalg.eigvalsh(T[:ny, :ny])[0], scipy.linalg.eigvalsh(T[:nx, :nx])[0]
         prob = assemble(grid, float(np.sqrt(lam + mu)), "MP1")
-        first = np.unique(interval_classes(dec, prob)[0], return_index=True)[1]
+        first = np.unique(interval_classes(dec, prob), return_index=True)[1]
         width = dec.hi - dec.lo + 1
         resonant = [ay * p + ax for ay in first for ax in first if {width[ay], width[ax]} == {ny, nx}]
         assert len(resonant) == 2
@@ -671,15 +706,20 @@ def test_coarse_space_factored_for_another_problem_rejected():
 
 
 def test_problem_from_another_grid_rejected():
-    """LocalSolves takes a problem assembled on its decomposition's grid only:
-    one of as many unknowns (961) on another grid, and one of fewer unknowns."""
+    """LocalSolves and LocalLayout take a problem assembled on their
+    decomposition's grid only, with or without a layout made for the right
+    grid: one of as many unknowns (961) on another grid, and one of fewer
+    unknowns."""
     cases = [
         (Grid(33, "dirichlet"), 8, assemble(Grid(31, "sommerfeld"), 5.0, "MP2")),
         (Grid(81, "sommerfeld"), 20, assemble(Grid(81, "dirichlet"), 20.0, "MP1")),
     ]
     for grid, p, prob in cases:
-        with pytest.raises(ValueError, match=rf"{re.escape(repr(prob.grid))}.*{re.escape(repr(grid))}"):
-            LocalSolves(extend_max(partition(grid, p)), prob)
+        dec = extend_max(partition(grid, p))
+        layout = LocalLayout(dec, assemble(grid, 5.0, "MP1" if grid.bc == "dirichlet" else "MP2"))
+        for build in (LocalSolves, LocalLayout, lambda dec, prob: LocalSolves(dec, prob, layout)):
+            with pytest.raises(ValueError, match=rf"{re.escape(repr(prob.grid))}.*{re.escape(repr(grid))}"):
+                build(dec, prob)
 
 
 def test_reference_coarse_apply_accepts_complex_vector_on_real_matrix():
